@@ -22,8 +22,8 @@ for label in ("6A", "10A", "12A", "14A", "15A"):
     h = hauptmodul(label, order=6)
     print(f"  H_{label:3s} = 1/q + {int(h.body.coeffs[1])} "
           f"+ {[int(c) for c in h.body.coeffs[2:6]]}...")
-print("  (6A is solved from its functional equation; the tail 79, 352, 1431,")
-print("   ... is the McKay-Thompson expansion, reproduced not assumed)")
+print("  (each is a closed eta-quotient; for 6A the tail 79, 352, 1431, ...")
+print("   is the McKay-Thompson expansion, reproduced not assumed)")
 
 print()
 print("== mirror maps are integral ==")

@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional
 
 from . import mathieu, periods, verify
+from .hauptmodul import UnknownLabel
 from .periods import FAMILIES, UnknownFamily
 from .series import normalize
 
@@ -103,13 +104,14 @@ def _cmd_series(args) -> int:
 
 def _cmd_tables(args) -> int:
     fm = mathieu.frobenius_mukai_check()
+    correspondence = mathieu.correspondence_report()
     payload = {
         "schema": SCHEMA,
         "command": "tables",
         "m23": [g.to_json() for g in mathieu.M23_SHAPES],
         "m24_extra": [g.to_json() for g in mathieu.M24_EXTRA_SHAPES],
         "s24_extra": [g.to_json() for g in mathieu.S24_EXTRA_SHAPES],
-        "correspondence": mathieu.correspondence_report(),
+        "correspondence": correspondence,
         "frobenius_mukai": {
             "entries": [e.to_json() for e in fm["entries"]],
             "exceptions": fm["exceptions"],
@@ -126,7 +128,7 @@ def _cmd_tables(args) -> int:
     for g in mathieu.S24_EXTRA_SHAPES:
         lines.append(f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}")
     lines.append("correspondence table (N, class, s, c, rho, eps, iota, rational):")
-    for row in mathieu.correspondence_report():
+    for row in correspondence:
         star = "*" if row["iota_starred"] else " "
         mark = "" if row["iota_matches"] else f"  [printed {row['iota_printed']}]"
         lines.append(
@@ -211,7 +213,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UnknownFamily, KeyError) as exc:
+    except (UnknownFamily, UnknownLabel) as exc:
         print(f"error: unknown family or label {exc}", file=sys.stderr)
         return 2
     except (SystemExit2, verify.NotFreeShift) as exc:

@@ -1,14 +1,15 @@
 """Moonshine Hauptmoduln H = 1/q + c + O(q) and mirror maps.
 
-Labels 10A, 12A, 14A, 15A have closed eta-quotient expressions:
+Every label has a closed expression (Conway & Norton, "Monstrous
+Moonshine", 1979); 1A is Klein's j and the others are eta-quotients:
 
-    H_10A = 8 + f + 16/f,  f = η(q)⁴η(q⁵)⁴ / (η(q²)⁴η(q¹⁰)⁴)
+    H_6A  = 16 + f + 64/f,  f = η(q)⁶η(q³)⁶ / (η(q²)⁶η(q⁶)⁶)
+    H_10A = 8 + f + 16/f,   f = η(q)⁴η(q⁵)⁴ / (η(q²)⁴η(q¹⁰)⁴)
     H_12A = (η(q²)²η(q⁶)² / (η(q)η(q³)η(q⁴)η(q¹²)))⁶
-    H_14A = 4 + g + 8/g,   g = η(q)³η(q⁷)³ / (η(q²)³η(q¹⁴)³)
-    H_15A = 3 + h + 9/h,   h = η(q)²η(q⁵)² / (η(q³)²η(q¹⁵)²)
+    H_14A = 4 + g + 8/g,    g = η(q)³η(q⁷)³ / (η(q²)³η(q¹⁴)³)
+    H_15A = 3 + h + 9/h,    h = η(q)²η(q⁵)² / (η(q³)²η(q¹⁵)²)
 
-1A is Klein's j.  6A has no closed quotient here; it is produced by
-solving the defining functional equation
+An independent cross-check solves the defining functional equation
 
     I(1/H) = E(q) · H^e        (E the eta-product body, e = σ₁/24)
 
@@ -16,8 +17,8 @@ order by order for the tail of H, where I is the regular shift of the
 normalized period F by s.  Matching the q¹ coefficients of both sides
 forces s = E₁ + e·c, so a wrong (s, c) pair is rejected at order 1; at
 every later order the new tail coefficient enters linearly with constant
-pivot e.  The same solver run against the other labels cross-checks the
-eta-quotient route.
+pivot e.  Run from each family's D3 operator at its default (s, c), the
+solver reproduces the eta-quotient (asserted in the test-suite).
 
 The constant term c is a free normalization: renormalizing changes
 exactly one coefficient.  Mirror maps are compositional inverses of
@@ -30,13 +31,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from . import d3
+from . import d3, periods
 from .qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
 from .series import (
     Rational,
     SeriesError,
     TruncatedSeries,
     _frac,
+    power_step,
     regular_shift,
 )
 
@@ -65,18 +67,6 @@ LABELS = ("1A", "6A", "10A", "12A", "14A", "15A")
 
 #: Printed constant term of each Hauptmodul.
 DEFAULT_CONSTANTS = {"1A": 744, "6A": 10, "10A": 4, "12A": 6, "14A": 1, "15A": 1}
-
-#: (operator key, shift s, constant c) feeding the functional-equation route.
-SOLVE_CONFIGS = {
-    "6A": ("L6,2", 4, 10),
-    "10A": ("L10", 2, 4),
-    "12A": ("L12", 4, 6),
-    "14A": ("L14", 0, 1),
-    "15A": ("L15", 0, 1),
-}
-
-#: Eta-product id whose body appears in each label's functional equation.
-ETA_IDS = {"1A": "1+", "6A": "6+", "10A": "10+", "12A": "12+", "14A": "14+", "15A": "15+"}
 
 
 def renormalize_constant(h: QExpansion, c: Rational) -> QExpansion:
@@ -155,7 +145,7 @@ def solve_hauptmodul_from_identity(
             row.append(sum(u[k] * prev[m - k] for k in range(1, m - r + 2)))
         lhs_m = sum(i_series.coeffs[r] * powers[r][m] for r in range(1, m + 1))
         # B^e extended with the provisional B_m = 0
-        p_m = sum(((e + 1) * j - m) * B[j] * P[m - j] for j in range(1, m)) / m
+        p_m = power_step(B, P, e, m)
         rhs_m = sum(E[k] * P[m - k] for k in range(1, m + 1)) + p_m
         h = (lhs_m - rhs_m) / e
         B.append(h)
@@ -167,47 +157,49 @@ def solve_hauptmodul_from_identity(
 # -- construction routes -------------------------------------------------------
 
 
-def _sum_with_constant(f: QExpansion, const: int, scale: int, order: int) -> QExpansion:
-    """const + f + scale/f for the three two-term eta-quotient Hauptmoduln."""
-    return f + QExpansion.constant(const, order) + scale * f.reciprocal()
+#: label -> (eta exponents of f, const, scale) for H = f + const + scale/f.
+_TWO_TERM = {
+    "6A": ({1: 6, 3: 6, 2: -6, 6: -6}, 16, 64),
+    "10A": ({1: 4, 5: 4, 2: -4, 10: -4}, 8, 16),
+    "14A": ({1: 3, 7: 3, 2: -3, 14: -3}, 4, 8),
+    "15A": ({1: 2, 5: 2, 3: -2, 15: -2}, 3, 9),
+}
 
 
 @lru_cache(maxsize=None)
 def _eta_route(label: str, order: int) -> QExpansion:
     if label == "1A":
         return klein_j(order)
-    if label == "10A":
-        f = eta_product({1: 4, 5: 4, 2: -4, 10: -4}, order)
-        return _sum_with_constant(f, 8, 16, order)
     if label == "12A":
         return eta_product({2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6}, order)
-    if label == "14A":
-        g = eta_product({1: 3, 7: 3, 2: -3, 14: -3}, order)
-        return _sum_with_constant(g, 4, 8, order)
-    if label == "15A":
-        h = eta_product({1: 2, 5: 2, 3: -2, 15: -2}, order)
-        return _sum_with_constant(h, 3, 9, order)
-    raise UnknownLabel(label)
+    if label not in _TWO_TERM:
+        raise UnknownLabel(label)
+    exponents, const, scale = _TWO_TERM[label]
+    f = eta_product(exponents, order)
+    return f + QExpansion.constant(const, order) + scale * f.reciprocal()
 
 
 @lru_cache(maxsize=None)
-def _identity_route(label: str, order: int) -> QExpansion:
-    op_key, s, c = SOLVE_CONFIGS[label]
-    f = d3.holomorphic_solution(d3.OPERATORS[op_key], order)
-    eta = eta_product(ETA_PRODUCTS[ETA_IDS[label]], order)
-    return solve_hauptmodul_from_identity(f, s, c, eta, eta.offset, order)
+def _identity_route(key: str, order: int) -> QExpansion:
+    """Cross-check: family key's Hauptmodul solved from its D3 operator at
+    the family's default (s, c)."""
+    fam = periods.family(key)
+    s = fam.default_shift()
+    f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
+    eta = eta_product(ETA_PRODUCTS[fam.eta], order)
+    return solve_hauptmodul_from_identity(
+        f, s, fam.default_constant(s), eta, eta.offset, order
+    )
 
 
 def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QExpansion:
-    """The Hauptmodul for the label, constant term renormalized to c.
+    """The Hauptmodul for the label from its closed form, constant term
+    renormalized to c (default: the printed one).
 
-    6A has no printed eta-quotient and is produced by the identity solver;
-    it is accepted because it reproduces the printed McKay-Thompson tail
-    79, 352, 1431, 4160, 13015, 31968 (asserted in the test-suite).
+    For 6A the tail 79, 352, 1431, 4160, 13015, 31968 is the printed
+    McKay-Thompson expansion (asserted in the test-suite).
     """
-    if label not in LABELS:
-        raise UnknownLabel(label)
-    h = _identity_route(label, order) if label == "6A" else _eta_route(label, order)
+    h = _eta_route(label, order)
     if c is None:
         c = DEFAULT_CONSTANTS[label]
     return renormalize_constant(h, c)

@@ -31,7 +31,7 @@ from typing import Dict, Optional
 
 from . import d3
 from .qexp import ETA_PRODUCTS, sigma1
-from .series import TruncatedSeries, inverse_laplace, laplace
+from .series import SeriesError, TruncatedSeries, inverse_laplace
 
 #: Shift marker for families where any integer shift produces an identity.
 FREE = None
@@ -43,6 +43,10 @@ class UnknownFamily(KeyError):
 
 class FreeShift(ValueError):
     """G-series requested for a family without a pinned shift."""
+
+
+class NonzeroLinearTerm(SeriesError):
+    """A G-series whose linear term the shift should have cancelled."""
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,8 @@ def gseries(key: str, order: int) -> TruncatedSeries:
         raise FreeShift("Y28 has no pinned shift; its I-series is defined directly")
     s = fam.formula_shift
     g = TruncatedSeries.exponential(-s, order) * inverse_laplace(iseries(key, order))
-    assert g.order < 1 or g.coeffs[1] == 0, "G-series must have zero linear term"
+    if g.order >= 1 and g.coeffs[1]:
+        raise NonzeroLinearTerm(f"G-series of {key} has linear term {g.coeffs[1]}")
     return g
 
 

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Dict, Mapping, Union
 
 from .series import (
-    NonUnitConstant,
     Rational,
     SeriesError,
     TruncatedSeries,
@@ -141,9 +140,6 @@ class QExpansion:
 
     def pow_rational(self, e: Rational) -> "QExpansion":
         """Power with rational exponent; the body must be a unit with constant 1."""
-        e = _frac(e)
-        if self.body.coeffs[0] != 1:
-            raise NonUnitConstant("fractional power needs body constant exactly 1")
         return QExpansion(self.offset * e, self.body.pow_rational(e))
 
     def truncate(self, order: int) -> "QExpansion":

@@ -42,11 +42,26 @@ class NotInvertible(SeriesError):
 
 
 class NonUnitConstant(SeriesError):
-    """Rational power of a series whose constant term is not 1."""
+    """A series whose constant term must be exactly 1 is not a unit series."""
 
 
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; pass an int or a Fraction")
+    return Fraction(x)
+
+
+def power_step(a: Sequence[Fraction], p: Sequence[Fraction], e: Fraction, m: int) -> Fraction:
+    """Σ_{0<j<m} ((e+1)j − m)·a_j·p_{m−j} / m, so that P = A^e (a_0 = p_0 = 1)
+    has p_m = power_step(...) + e·a_m: J.C.P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, §4.7), with the a_m term left to callers that lack it."""
+    total = Fraction(0)  # at m = 1 the sum is empty and must stay exact
+    for j in range(1, m):
+        if a[j]:
+            total += ((e + 1) * j - m) * a[j] * p[m - j]
+    return total / m
 
 
 class TruncatedSeries:
@@ -264,21 +279,11 @@ class TruncatedSeries:
         if self.coeffs[0] != 1:
             raise NonUnitConstant("rational powers need constant term exactly 1")
         e = _frac(e)
-        k = self.order
-        x = self - TruncatedSeries.one(k)
-        v = x.valuation()
-        result = TruncatedSeries.one(k)
-        if v > k:
-            return result
-        xp = TruncatedSeries.one(k)
-        binom = Fraction(1)
-        for n in range(1, k // v + 1):
-            binom = binom * (e - n + 1) / n
-            if not binom:  # non-negative integer exponent exhausted
-                break
-            xp = xp * x
-            result = result + xp * binom
-        return result
+        a = self.coeffs
+        p = [Fraction(1)]
+        for m in range(1, self.order + 1):
+            p.append(power_step(a, p, e, m) + e * a[m])
+        return TruncatedSeries(p, self.order)
 
 
 def _nonzero_count(cs: Sequence[Fraction], upto: int) -> int:

@@ -23,22 +23,18 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import periods
-from .hauptmodul import (
-    InconsistentIdentity,
-    hauptmodul,
-    inverse_hauptmodul,
-    mirror_map,
-)
-from .periods import FAMILIES, EVEN_REDUCTION, family, iseries
+from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
+from .periods import EVEN_REDUCTION, FamilyDescriptor, family, iseries
 from .qexp import (
     ETA_PRODUCTS,
+    OffsetError,
     QExpansion,
     discriminant,
     eisenstein_e4,
     eta_product,
     klein_j,
 )
-from .series import TruncatedSeries, regular_shift
+from .series import NonUnitConstant, TruncatedSeries, regular_shift
 
 DEFAULT_ORDER = 60
 
@@ -129,27 +125,32 @@ def verify_identity(
         return IdentityReport(name, key, base.s, base.c, base.order,
                               base.ok, base.first_mismatch)
 
+    s, c, h, rhs = _modular_side(fam, s, c, order)
+    name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
+
+    base = iseries(key, order)
+    i_series = regular_shift(base, s - base.coeffs[1])
+    lhs = i_series.compose(inverse_hauptmodul(h).truncate(order))
+    if lhs.coeffs[0] != 1 or rhs.coeffs[0] != 1:
+        raise NonUnitConstant("both sides of the identity must be unit series")
+
+    return _compare(name, key, s, c, order, lhs, rhs)
+
+
+def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
+    """(s, c) defaulted from the family row, H_c, and eta·H_c^{σ₁/24} as a
+    unit power series (the q-offsets cancel)."""
     if s is None:
         s = fam.default_shift()
     if c is None:
         c = fam.default_constant(s)
     s, c = Fraction(s), Fraction(c)
-
-    name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
-
-    base = iseries(key, order)
-    i_series = regular_shift(base, s - base.coeffs[1])
-
     h = hauptmodul(fam.hauptmodul, c, order)
-    lhs = i_series.compose(inverse_hauptmodul(h).truncate(order))
-
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
     h_pow = h.pow_rational(fam.exponent)
-    assert eta.offset + h_pow.offset == 0, "offsets must cancel"
-    rhs = eta.body * h_pow.body
-    assert lhs.coeffs[0] == 1 and rhs.coeffs[0] == 1, "both sides are unit series"
-
-    return _compare(name, key, s, c, order, lhs, rhs)
+    if eta.offset + h_pow.offset != 0:
+        raise OffsetError(f"offsets {eta.offset} and {h_pow.offset} must cancel")
+    return s, c, h, eta.body * h_pow.body
 
 
 def sweep_free_shift(
@@ -185,13 +186,7 @@ def m_series(
     fam = family(key)
     if fam.index == 2:
         raise ValueError("index-2 families reduce to their index-1 partners")
-    if s is None:
-        s = fam.default_shift()
-    if c is None:
-        c = fam.default_constant(s)
-    h = hauptmodul(fam.hauptmodul, c, order)
-    eta = eta_product(ETA_PRODUCTS[fam.eta], order)
-    rhs = eta.body * h.pow_rational(fam.exponent).body
+    _, _, h, rhs = _modular_side(fam, s, c, order)
     return rhs.compose(mirror_map(h, order))
 
 
@@ -216,7 +211,8 @@ def verify_delta(order: int = 40) -> IdentityReport:
     p6 = QExpansion(0, p) ** 6
     lhs = klein_j(order).reciprocal() * p6
     rhs = discriminant(order)
-    assert lhs.offset == rhs.offset == 1
+    if not lhs.offset == rhs.offset == 1:
+        raise OffsetError(f"offsets {lhs.offset} and {rhs.offset} must both be 1")
     return _compare("j^-1 * (sum (6n)!/((3n)!n!^3) j^-n)^6 = Delta", None, None,
                     None, order, lhs.body, rhs.body)
 

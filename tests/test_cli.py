@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gfano import verify
 from gfano.cli import main
 
 
@@ -43,6 +44,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "Y99")
         assert code == 2
         assert "unknown family" in err
+
+    def test_internal_key_error_is_not_a_config_error(self, monkeypatch):
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(verify, "verify_identity", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["verify", "--family", "Y24", "--order", "5"])
 
     def test_bad_order_is_config_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "Y24", "--order", "0")

@@ -15,7 +15,9 @@ from gfano.hauptmodul import (
     mirror_map,
     renormalize_constant,
     solve_hauptmodul_from_identity,
+    _identity_route,
 )
+from gfano.periods import FAMILIES
 from gfano.qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
 from gfano.series import TruncatedSeries
 
@@ -30,13 +32,34 @@ PRINTED_TAILS = {
 T6A_TAIL = [79, 352, 1431, 4160, 13015, 31968]
 
 
-def solve_for(label, op_key, s, c, order):
-    f = d3.holomorphic_solution(d3.OPERATORS[op_key], order)
-    eta = eta_product(ETA_PRODUCTS[ETA_PRODUCTS_KEY[label]], order)
+#: Families whose Hauptmodul the identity solver can reach: those with a D3 operator.
+D3_FAMILIES = [key for key, fam in FAMILIES.items() if fam.d3_operator]
+
+
+def solve_for(key, s, c, order):
+    """Solve family key's identity for its Hauptmodul at an explicit (s, c)."""
+    fam = FAMILIES[key]
+    f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
+    eta = eta_product(ETA_PRODUCTS[fam.eta], order)
     return solve_hauptmodul_from_identity(f, s, c, eta, eta.offset, order)
 
 
-ETA_PRODUCTS_KEY = {"6A": "6+", "10A": "10+", "12A": "12+", "14A": "14+", "15A": "15+"}
+def route_id(key):
+    """label-operator-s-c of the route check for family key."""
+    fam = FAMILIES[key]
+    s = fam.default_shift()
+    return f"{fam.hauptmodul}-{fam.d3_operator}-{s}-{fam.default_constant(s)}"
+
+
+def route_agreement(key, order):
+    """The eta-quotient Hauptmodul and the one solved from family key's
+    identity at its default (s, c): same offset, order and coefficients."""
+    fam = FAMILIES[key]
+    quotient = hauptmodul(fam.hauptmodul, fam.default_constant(), order)
+    solved = _identity_route(key, order)
+    return (quotient.offset == solved.offset
+            and quotient.order == solved.order == order
+            and quotient.body.coeffs == solved.body.coeffs)
 
 
 class TestEtaQuotientRoutes:
@@ -70,14 +93,14 @@ class Test6ASolver:
         assert [int(x) for x in h.body.coeffs[1:]] == [0] + T6A_TAIL
 
     def test_y12_2_and_y12_3_data_give_the_same_function(self):
-        h1 = solve_for("6A", "L6,2", 4, 10, 10)
-        h2 = solve_for("6A", "L6,3", 6, 14, 10)
+        h1 = solve_for("Y12_2", 4, 10, 10)
+        h2 = solve_for("Y12_3", 6, 14, 10)
         assert h1.body.coeffs[2:] == h2.body.coeffs[2:]
         assert int(h1.body.coeffs[1]) == 10 and int(h2.body.coeffs[1]) == 14
 
     def test_inconsistent_pair_rejected_at_order_one(self):
         with pytest.raises(InconsistentIdentity) as exc:
-            solve_for("6A", "L6,2", 5, 10, 8)
+            solve_for("Y12_2", 5, 10, 8)
         assert exc.value.order == 1
 
     def test_pivot_guard(self):
@@ -87,31 +110,24 @@ class Test6ASolver:
             solve_hauptmodul_from_identity(f, 4, 10, eta, 0, 8)
 
     def test_deterministic(self):
-        a = solve_for("6A", "L6,2", 4, 10, 12)
-        b = solve_for("6A", "L6,2", 4, 10, 12)
+        a = solve_for("Y12_2", 4, 10, 12)
+        b = solve_for("Y12_2", 4, 10, 12)
         assert a.body == b.body and a.offset == b.offset
 
 
 class TestRouteAgreement:
-    @pytest.mark.parametrize("label,op_key,s,c", [
-        ("10A", "L10", 2, 4),
-        ("12A", "L12", 4, 6),
-        ("14A", "L14", 0, 1),
-        ("15A", "L15", 0, 1),
-    ])
-    def test_quotient_vs_identity_solution(self, label, op_key, s, c):
-        quotient = hauptmodul(label, order=60)
-        solved = solve_for(label, op_key, s, c, 60)
-        assert quotient.body == solved.body
+    @pytest.mark.parametrize("key", D3_FAMILIES, ids=route_id)
+    def test_quotient_vs_identity_solution(self, key):
+        assert route_agreement(key, 60)
 
     def test_15a_with_shifted_data(self):
         # any s with c = s+1 solves to the same tail
-        h = solve_for("15A", "L15", 1, 2, 8)
+        h = solve_for("Y30", 1, 2, 8)
         assert [int(x) for x in h.body.coeffs[1:6]] == [2, 8, 22, 42, 70]
 
     def test_14a_tail_independent_of_shift(self):
         tails = {
-            s: solve_for("14A", "L14", s, s + 1, 10).body.coeffs[2:]
+            s: solve_for("Y28", s, s + 1, 10).body.coeffs[2:]
             for s in (0, 1, 3)
         }
         assert tails[0] == tails[1] == tails[3]

@@ -1,15 +1,17 @@
 """I-series generators vs brute-force enumeration; G-series; relations."""
 
+import dataclasses
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
 
 import pytest
 
-from gfano import d3
+from gfano import d3, periods
 from gfano.periods import (
     FAMILIES,
     FreeShift,
+    NonzeroLinearTerm,
     UnknownFamily,
     check_even_substitution,
     check_exp_relation,
@@ -131,6 +133,13 @@ class TestGSeries:
 
     def test_y24_conic_count(self):
         assert gseries("Y24", 4).coeffs[2] == 6
+
+    def test_uncancelled_linear_term_raises(self, monkeypatch):
+        fam = family("Y24")
+        wrong = dataclasses.replace(fam, formula_shift=fam.formula_shift + 1)
+        monkeypatch.setattr(periods, "family", lambda key: wrong)
+        with pytest.raises(NonzeroLinearTerm):
+            gseries("Y24", 4)
 
     def test_free_shift_guard(self):
         with pytest.raises(FreeShift):

@@ -154,6 +154,17 @@ class TestPowRational:
         with pytest.raises(NonUnitConstant):
             series(2, 1).pow_rational(F(1, 2))
 
+    @pytest.mark.parametrize("e", [F(1, 2), F(-3, 4), 0, 2, -1])
+    def test_coefficients_are_fractions(self, e):
+        got = series(1, 2, 0, F(1, 3), 5).pow_rational(e)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize("n", [-2, 0, 1, 3])
+    def test_integer_exponent_matches_repeated_product(self, n):
+        a = series(1, 2, 0, F(1, 3), 5)
+        got, want = a.pow_rational(n), a ** n
+        assert got.order == want.order and got.coeffs == want.coeffs
+
     @settings(max_examples=40)
     @given(series_strategy(1, 6), rationals, rationals)
     def test_exponent_additivity(self, tail, e1, e2):
@@ -161,6 +172,16 @@ class TestPowRational:
         lhs = a.pow_rational(e1 + e2)
         rhs = a.pow_rational(e1) * a.pow_rational(e2)
         assert lhs == rhs
+
+
+class TestExactness:
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            series(1, 0.1)
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            series(1, 1).pow_rational(0.5)
 
 
 class TestLaplace:
