@@ -47,6 +47,10 @@ class UnknownLabel(KeyError):
     """Hauptmodul label outside {1A, 6A, 10A, 12A, 14A, 15A}."""
 
 
+class NoD3Operator(ValueError):
+    """Family without a D3 operator, so the identity solver has no period."""
+
+
 class WrongOffset(SeriesError):
     """Operation expecting a 1/q + c + O(q) expansion (offset -1)."""
 
@@ -184,6 +188,8 @@ def _identity_route(key: str, order: int) -> QExpansion:
     """Cross-check: family key's Hauptmodul solved from its D3 operator at
     the family's default (s, c)."""
     fam = periods.family(key)
+    if fam.d3_operator is None:
+        raise NoD3Operator(f"family {key} has no D3 operator to solve from")
     s = fam.default_shift()
     f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)

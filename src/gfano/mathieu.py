@@ -43,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 

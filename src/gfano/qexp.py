@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping
 
 from .series import (
     Rational,

@@ -5,6 +5,23 @@ A TruncatedSeries holds coefficients c_0 .. c_K of a formal series
 trusted).  All arithmetic is exact: coefficients are `fractions.Fraction`,
 never floats.  Binary operations truncate to the minimum order of their
 operands; composition truncates to the order of the inner series.
+Equality is strict: two series are equal when they have the same order
+and the same coefficients; `agrees_to` compares a prefix explicitly.
+
+Products, reciprocals and compositions run on one integer core.  A
+coefficient slice is scaled by the lcm of its denominators into a list
+of integer numerators over one common denominator (`_scaled`); the loops
+then multiply and add Python ints only, and each output coefficient is
+built as one reduced Fraction at the end:
+
+    A·B       numerators convolved over the sparser operand's nonzero terms,
+              divided by da·db
+    1/A       B_0 = 1, B_n = -Σ_i a_i·a_0^(i-1)·B_(n-i), and
+              (1/A)_n = d·B_n / a_0^(n+1)
+    A∘v       Horner over int lists, R_M = A_M, R_n = R_(n+1)·v + A_n·E^(M-n),
+              divided by D·E^M   (A = A/D of order M, inner v = v/E)
+
+This takes the per-term gcd of Fraction arithmetic off the hot loops.
 
 On top of ring arithmetic the module provides the shift/regularization
 operators used throughout:
@@ -19,7 +36,7 @@ operators used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -51,6 +68,33 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not exact; pass an int or a Fraction")
     return Fraction(x)
+
+
+def _scaled(coeffs: Sequence[Fraction], upto: int) -> tuple[list[int], int]:
+    """Integer numerators of coeffs[0..upto] over their lcm denominator."""
+    cs = coeffs[: upto + 1]
+    den = lcm(*{c.denominator for c in cs})
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _terms(xs: Sequence[int], upto: int) -> list[tuple[int, int]]:
+    """(index, value) of the nonzero entries of xs[0..upto]."""
+    return [(i, x) for i, x in enumerate(xs[: upto + 1]) if x]
+
+
+def _convolve(nz_a: list[tuple[int, int]], nz_b: list[tuple[int, int]], k: int) -> list[int]:
+    """Σ a_i b_j t^(i+j) through t^k from the nonzero terms of a and b,
+    looping over the sparser operand: eta-type series are mostly zeros."""
+    if len(nz_b) < len(nz_a):
+        nz_a, nz_b = nz_b, nz_a
+    out = [0] * (k + 1)
+    for i, x in nz_a:
+        room = k - i
+        for j, y in nz_b:
+            if j > room:
+                break
+            out[i + j] += x * y
+    return out
 
 
 def power_step(a: Sequence[Fraction], p: Sequence[Fraction], e: Fraction, m: int) -> Fraction:
@@ -128,9 +172,18 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def __eq__(self, other) -> bool:
+        """Same order and same coefficients (consistent with __hash__)."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        k = min(self.order, other.order)
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def agrees_to(self, other: "TruncatedSeries", k: int) -> bool:
+        """Whether the coefficients of t^0 .. t^k are equal; both series
+        must be known through t^k."""
+        if k > min(self.order, other.order):
+            raise SeriesError(
+                f"cannot compare through t^{k}: orders are {self.order} and {other.order}"
+            )
         return self.coeffs[: k + 1] == other.coeffs[: k + 1]
 
     def __hash__(self):
@@ -175,20 +228,11 @@ class TruncatedSeries:
             return TruncatedSeries([c * s for c in self.coeffs], self.order)
         other = self._coerce(other)
         k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
-        # iterate over the sparser operand: eta-type series are mostly zeros
-        a, b = self.coeffs, other.coeffs
-        if _nonzero_count(b, k) < _nonzero_count(a, k):
-            a, b = b, a
-        for i in range(min(len(a) - 1, k) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, k - i) + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out, k)
+        a, da = _scaled(self.coeffs, k)
+        b, db = _scaled(other.coeffs, k)
+        d = da * db
+        out = _convolve(_terms(a, k), _terms(b, k), k)
+        return TruncatedSeries([Fraction(n, d) for n in out], k)
 
     __rmul__ = __mul__
 
@@ -213,16 +257,22 @@ class TruncatedSeries:
         if not self.coeffs[0]:
             raise ZeroConstantTerm("cannot divide by a series with zero constant term")
         k = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * k
-        nz = [i for i in range(1, k + 1) if self.coeffs[i]]
+        a, d = _scaled(self.coeffs, k)
+        a0 = a[0]
+        # w_i = a_i·a_0^(i-1), so that B_n = -Σ w_i B_(n-i)
+        w = [(i, a[i] * a0 ** (i - 1)) for i in range(1, k + 1) if a[i]]
+        big_b = [1]
+        out = [Fraction(d, a0)]
+        scale = a0
         for n in range(1, k + 1):
-            acc = Fraction(0)
-            for i in nz:
+            acc = 0
+            for i, wi in w:
                 if i > n:
                     break
-                acc += self.coeffs[i] * out[n - i]
-            out[n] = -acc * inv0
+                acc += wi * big_b[n - i]
+            big_b.append(-acc)
+            scale *= a0
+            out.append(Fraction(-d * acc, scale))
         return TruncatedSeries(out, k)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
@@ -250,10 +300,19 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise NonzeroInnerConstant("inner series must have zero constant term")
         k = inner.order
-        result = TruncatedSeries([self.coeffs[self.order]], k)
-        for n in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[n]
-        return result.truncate(k)
+        # terms A_n v^n with n > k vanish through t^k
+        m = min(self.order, k)
+        a, big_d = _scaled(self.coeffs, m)
+        v, e = _scaled(inner.coeffs, k)
+        nz_v = _terms(v, k)
+        r = [a[m]] + [0] * k
+        e_power = 1
+        for n in range(m - 1, -1, -1):
+            e_power *= e
+            r = _convolve(_terms(r, k), nz_v, k)
+            r[0] += a[n] * e_power
+        d = big_d * e_power
+        return TruncatedSeries([Fraction(x, d) for x in r], k)
 
     def reverse(self) -> "TruncatedSeries":
         """Compositional inverse via Lagrange inversion.
@@ -284,10 +343,6 @@ class TruncatedSeries:
         for m in range(1, self.order + 1):
             p.append(power_step(a, p, e, m) + e * a[m])
         return TruncatedSeries(p, self.order)
-
-
-def _nonzero_count(cs: Sequence[Fraction], upto: int) -> int:
-    return sum(1 for c in cs[: upto + 1] if c)
 
 
 # -- shifts and regularizations ---------------------------------------------

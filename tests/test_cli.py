@@ -1,6 +1,11 @@
 """The command-line interface: exit codes, JSON determinism, coverage."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +146,20 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_battery_json_is_byte_identical_to_recorded_digest(self):
+        # perfbench gates the battery on this recorded digest
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "perfbench" / "expected.json") as fh:
+            want = json.load(fh)["battery"]["30"]["sha256"]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "gfano.cli", "verify", "--family", "ALL",
+             "--order", "30", "--json"],
+            env=env, cwd=root, capture_output=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout).hexdigest() == want
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

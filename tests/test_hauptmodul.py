@@ -7,6 +7,7 @@ import pytest
 from gfano import d3
 from gfano.hauptmodul import (
     InconsistentIdentity,
+    NoD3Operator,
     UnknownLabel,
     WrongOffset,
     hauptmodul,
@@ -119,6 +120,12 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("key", D3_FAMILIES, ids=route_id)
     def test_quotient_vs_identity_solution(self, key):
         assert route_agreement(key, 60)
+
+    @pytest.mark.parametrize("key", sorted(set(FAMILIES) - set(D3_FAMILIES)))
+    def test_identity_route_names_family_without_operator(self, key):
+        assert FAMILIES[key].d3_operator is None
+        with pytest.raises(NoD3Operator, match=key):
+            _identity_route(key, 5)
 
     def test_15a_with_shifted_data(self):
         # any s with c = s+1 solves to the same tail

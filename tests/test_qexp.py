@@ -123,6 +123,13 @@ class TestQExpansionAlgebra:
         d = discriminant(10)
         assert d.pow_rational(F(1, 2)).offset == F(1, 2)
 
+    def test_equality_needs_the_same_order(self):
+        short = QExpansion(-1, TruncatedSeries([1, 2], 1))
+        long = QExpansion(-1, TruncatedSeries([1, 2, 3], 2))
+        other = QExpansion(-1, TruncatedSeries([1, 2, 4], 2))
+        assert short != long and short != other and long != other
+        assert len({short, long, other, QExpansion(-1, TruncatedSeries([1, 2], 1))}) == 3
+
     def test_offset_must_stay_in_24ths(self):
         with pytest.raises(OffsetError):
             QExpansion(F(1, 5), TruncatedSeries([1], 3))

@@ -3,13 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfano.series import (
     NonUnitConstant,
     NonzeroInnerConstant,
     NotInvertible,
+    SeriesError,
     TruncatedSeries,
     ZeroConstantTerm,
     inverse_laplace,
@@ -35,6 +36,135 @@ def series_strategy(min_order=0, max_order=8):
             lambda cs: S(cs, k)
         )
     )
+
+
+def sparse_series_strategy(min_order=0, max_order=20):
+    """Mostly-zero series, as eta-type bodies are: at most three terms."""
+    return st.integers(min_order, max_order).flatmap(
+        lambda k: st.dictionaries(st.integers(0, k), rationals, max_size=3).map(
+            lambda terms: S([terms.get(n, 0) for n in range(k + 1)], k)
+        )
+    )
+
+
+dense_or_sparse = st.one_of(series_strategy(0, 10), sparse_series_strategy(0, 30))
+
+
+# Fraction oracles for the integer kernel: term by term, the way the
+# arithmetic reads on paper, with no common denominators.
+
+
+def schoolbook_product(a, b):
+    k = min(a.order, b.order)
+    out = [F(0)] * (k + 1)
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return S(out, k)
+
+
+def horner_compose(outer, inner):
+    result = S([outer.coeffs[outer.order]], inner.order)
+    for c in reversed(outer.coeffs[: outer.order]):
+        result = schoolbook_product(result, inner) + c
+    return result
+
+
+def recurrence_reciprocal(a):
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for n in range(1, a.order + 1):
+        out.append(-inv0 * sum((a.coeffs[i] * out[n - i] for i in range(1, n + 1)), F(0)))
+    return S(out, a.order)
+
+
+def all_fractions(a):
+    return all(type(c) is F for c in a.coeffs)
+
+
+class TestEquality:
+    # [1,2]@1 agrees with both order-2 series on its prefix, which differ
+    PREFIX, LONG, OTHER = S([1, 2], 1), S([1, 2, 3], 2), S([1, 2, 4], 2)
+
+    def test_order_is_part_of_equality(self):
+        assert self.PREFIX != self.LONG
+        assert self.PREFIX != self.OTHER
+        assert self.PREFIX == S([1, 2], 1)
+
+    def test_transitive(self):
+        assert self.LONG != self.OTHER
+        assert not (self.PREFIX == self.LONG and self.PREFIX == self.OTHER)
+
+    def test_hash_contract(self):
+        assert len({self.PREFIX, self.LONG, self.OTHER}) == 3
+        assert len({self.PREFIX, S([1, 2], 1), S([F(2, 2), 2, 0], 1)}) == 1
+        assert hash(self.PREFIX) == hash(S([1, 2], 1))
+
+    def test_agrees_to(self):
+        assert self.PREFIX.agrees_to(self.LONG, 1)
+        assert self.PREFIX.agrees_to(self.OTHER, 1)
+        assert self.LONG.agrees_to(self.OTHER, 1)
+        assert not self.LONG.agrees_to(self.OTHER, 2)
+
+    def test_agrees_to_refuses_unknown_coefficients(self):
+        with pytest.raises(SeriesError):
+            self.PREFIX.agrees_to(self.LONG, 2)
+
+    @settings(max_examples=40)
+    @given(dense_or_sparse, dense_or_sparse)
+    def test_equal_means_same_order_and_coefficients(self, a, b):
+        assert (a == b) == (a.order == b.order and a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=60)
+    @given(dense_or_sparse, dense_or_sparse)
+    def test_mul_matches_schoolbook(self, a, b):
+        got = a * b
+        assert got == schoolbook_product(a, b)
+        assert all_fractions(got)
+
+    @settings(max_examples=40)
+    @given(dense_or_sparse, st.integers(1, 6), dense_or_sparse)
+    def test_mul_of_unequal_orders(self, a, extra, b):
+        longer = S(b.coeffs, a.order + extra)
+        got = a * longer
+        assert got.order == a.order
+        assert got == schoolbook_product(a, longer) == longer * a
+
+    @settings(max_examples=40)
+    @given(dense_or_sparse, series_strategy(1, 8))
+    def test_compose_matches_fraction_horner(self, outer, tail):
+        inner = S([0, *tail.coeffs[1:]], tail.order)
+        # a non-integral inner series, so its common denominator is not 1
+        assume(any(c.denominator != 1 for c in inner.coeffs))
+        got = outer.compose(inner)
+        assert got.order == inner.order
+        assert got == horner_compose(outer, inner)
+        assert all_fractions(got)
+
+    @settings(max_examples=30)
+    @given(dense_or_sparse, sparse_series_strategy(1, 12))
+    def test_compose_with_sparse_inner(self, outer, tail):
+        inner = S([0, *tail.coeffs[1:]], tail.order)
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+    @settings(max_examples=60)
+    @given(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(
+            lambda x: x.denominator != 1
+        ),
+        dense_or_sparse,
+    )
+    def test_reciprocal_matches_recurrence(self, a0, tail):
+        # constant term neither 1 nor an integer
+        a = S([a0, *tail.coeffs[1:]], tail.order)
+        got = a.reciprocal()
+        assert got == recurrence_reciprocal(a)
+        assert all_fractions(got)
+        assert a * got == S.one(a.order)
 
 
 class TestMultiply:
