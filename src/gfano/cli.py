@@ -27,6 +27,11 @@ from .series import normalize
 
 SCHEMA = "gfano-report/1"
 
+#: Largest accepted --order.  The exact checks cost about the cube of the
+#: order: one identity takes some 30 s at order 500 on a 2-vCPU x86 VM,
+#: and each doubling multiplies that by about ten.
+MAX_ORDER = 1000
+
 
 class SystemExit2(Exception):
     """Configuration error; turned into exit code 2."""
@@ -208,8 +213,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already
         return int(exc.code or 0)
-    if getattr(args, "order", 1) < 1:
+    order = getattr(args, "order", 1)
+    if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return 2
+    if order > MAX_ORDER:
+        print(f"error: --order {order} is above {MAX_ORDER}; the exact checks cost "
+              "about order^3 (one identity takes some 30 s at order 500, about "
+              "ten times that per doubling)", file=sys.stderr)
         return 2
     try:
         return args.func(args)

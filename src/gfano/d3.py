@@ -12,9 +12,19 @@ the operator by reading off the t^n coefficient of L f = 0)
     n³ c_n = b1·n(n-1)(2n-1)·c_{n-1} + (n-1)(b2·n(n-2) + 4 b3)·c_{n-2}
            + b4·(n-1)(n-2)(2n-3)·c_{n-3} + b5·(n-1)(n-2)(n-3)·c_{n-4}
 
-which in particular forces c_1 = 0.  The catalog below lists the six
-operators whose solutions are the normalized quantum periods of the
-higher-rank G-Fano threefolds.
+which in particular forces c_1 = 0.  Both the recursion and the action
+of L run on integers.  With the b's over their common denominator d,
+B_i = d·b_i, and P_j(n)·B the integer factor d times the factor of c_{n-j}
+above, the scaled coefficients C_n = n!³·d^n·c_n obey
+
+    C_n = Σ_{j=1..4} P_j(n)·B·C_{n-j}·((n-1)!/(n-j)!)³·d^(j-1),   C_0 = 1,
+
+so each step multiplies big ints by small ones, and c_n = C_n/(n!³·d^n)
+is one reduced Fraction.  apply_operator sums the same integer factors
+over the numerators of f and divides by d times their denominator.
+
+The catalog below lists the six operators whose solutions are the
+normalized quantum periods of the higher-rank G-Fano threefolds.
 
 The parameters also come in an alternate a-basis related over Z by
 
@@ -26,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .series import Rational, TruncatedSeries, _frac
+from .series import Rational, TruncatedSeries, _frac, _scaled
 
 
 @dataclass(frozen=True)
@@ -84,41 +95,62 @@ OPERATORS = {
 }
 
 
+def _scaled_operator(op: D3Operator) -> tuple[tuple[int, ...], int]:
+    """(B1..B5, d): the b's times their common denominator d, as ints."""
+    bs = (op.b1, op.b2, op.b3, op.b4, op.b5)
+    d = lcm(*(b.denominator for b in bs))
+    return tuple(b.numerator * (d // b.denominator) for b in bs), d
+
+
+def _weights(big_b: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
+    """d times the factors of c_(n-1) .. c_(n-4) in the t^n recursion."""
+    b1, b2, b3, b4, b5 = big_b
+    return (
+        b1 * n * (n - 1) * (2 * n - 1),
+        (n - 1) * (b2 * n * (n - 2) + 4 * b3),
+        b4 * (n - 1) * (n - 2) * (2 * n - 3),
+        b5 * (n - 1) * (n - 2) * (n - 3),
+    )
+
+
 def apply_operator(op: D3Operator, f: TruncatedSeries) -> TruncatedSeries:
     """Exact action of L on a truncated series, same truncation order.
 
     D multiplies the n-th coefficient by n; the t^j factors shift indices
     up by j, so the t^n output coefficient only needs f_{n-4} .. f_n.
+    The sum runs on the integer numerators F of f = F/D and is divided by
+    d·D once per coefficient.
     """
-    b1, b2, b3, b4, b5 = op.b1, op.b2, op.b3, op.b4, op.b5
+    big_b, d = _scaled_operator(op)
     k = f.order
-    cs = f.coeffs
+    cs, big_d = _scaled(f.coeffs, k)
     out = []
     for n in range(k + 1):
-        acc = n ** 3 * cs[n]
-        if n >= 1:
-            acc -= b1 * (n - 1) * n * (2 * n - 1) * cs[n - 1]
-        if n >= 2:
-            acc -= (n - 1) * (b2 * (n - 2) * n + 4 * b3) * cs[n - 2]
-        if n >= 3:
-            acc -= b4 * (n - 2) * (n - 1) * (2 * n - 3) * cs[n - 3]
-        if n >= 4:
-            acc -= b5 * (n - 3) * (n - 2) * (n - 1) * cs[n - 4]
-        out.append(acc)
+        acc = d * n ** 3 * cs[n]
+        for j, w in enumerate(_weights(big_b, n)[:n], 1):
+            acc -= w * cs[n - j]
+        out.append(Fraction(acc, d * big_d))
     return TruncatedSeries(out, k)
 
 
 def holomorphic_solution(op: D3Operator, order: int) -> TruncatedSeries:
-    """The analytic solution with constant term 1, by the coefficient recursion."""
-    b1, b2, b3, b4, b5 = op.b1, op.b2, op.b3, op.b4, op.b5
-    cs = [Fraction(1)]
+    """The analytic solution with constant term 1, by the coefficient recursion.
+
+    The recursion runs on the integers C_n = n!³·d^n·c_n; see the module
+    docstring.
+    """
+    big_b, d = _scaled_operator(op)
+    big_c = [1]
+    out = [Fraction(1)]
+    scale = 1
     for n in range(1, order + 1):
-        acc = b1 * n * (n - 1) * (2 * n - 1) * cs[n - 1]
-        if n >= 2:
-            acc += (n - 1) * (b2 * n * (n - 2) + 4 * b3) * cs[n - 2]
-        if n >= 3:
-            acc += b4 * (n - 1) * (n - 2) * (2 * n - 3) * cs[n - 3]
-        if n >= 4:
-            acc += b5 * (n - 1) * (n - 2) * (n - 3) * cs[n - 4]
-        cs.append(acc / n ** 3)
-    return TruncatedSeries(cs, order)
+        acc = 0
+        falling = 1  # ((n-1)!/(n-j)!)³ · d^(j-1)
+        for j, w in enumerate(_weights(big_b, n)[:n], 1):
+            if w:
+                acc += w * falling * big_c[n - j]
+            falling *= (n - j) ** 3 * d
+        big_c.append(acc)
+        scale *= n ** 3 * d
+        out.append(Fraction(acc, scale))
+    return TruncatedSeries(out, order)

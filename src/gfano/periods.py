@@ -1,37 +1,49 @@
 """Quantum periods of the eight G-Fano threefold families.
 
 Every family carries a closed coefficient formula for its I-series (the
-regularized, exponentially shifted G-series).  Writing binomial reductions
-as convolutions of Σ t^a/a!^m keeps the generators quadratic in the order:
+regularized, exponentially shifted G-series).  The multi-index sums
+reduce to single or double sums of binomials, so each generator adds and
+multiplies small Python ints read from one Pascal triangle grown to the
+order (C(2j,j) from its own recurrence):
 
-    Y20    i_k = Σ_a C(k,a)^4            = k!^4 [t^k] (Σ t^a/a!^4)^2
-    Y24    i_k = Σ multinomial(k;a,b,c,d)^2 = k!^2 [t^k] (Σ t^a/a!^2)^4
+    Y20    i_k = Σ_a C(k,a)^4
+    Y24    i_k = Σ multinomial(k;a,b,c,d)^2 = Σ_j C(k,j)^2 C(2j,j) C(2k-2j,k-j)
     Y12_2  i_k = C(2k,k) Σ_a C(k,a)^3
-    Y12_3  i_k = C(2k,k) Σ multinomial(k;a,b,c)^2
+    Y12_3  i_k = C(2k,k) Σ multinomial(k;a,b,c)^2 = C(2k,k) Σ_j C(k,j)^2 C(2j,j)
     Y30    i_k = Σ_{a+b+c=k} (a+b)!(a+c)!(b+c)!k! / (a!b!c!)^3
+               = Σ_{a+b+c=k} C(a+b,a) C(a+c,a) C(b+c,b) C(k,a) C(k-a,b)
     X6     i_k = (6k)! / ((3k)! k!^3)
+
+(Grouping the multinomial by the first j parts gives the Y24 and Y12_3
+forms; Y30's sum is symmetric in a, b, c and runs over a <= b <= c.)
 
 Y28 has no closed hypergeometric form; its I-series is defined as the
 analytic solution of the operator L14 (it already has zero linear term).
 The index-2 families Y48_2 and Y48_3 are the even-variable versions of
 Y12_2 and Y12_3: I(t) of the index-1 family evaluated at t².
 
-The G-series is recovered by G = exp(-s t)·L⁻¹(I) where s is the linear
-coefficient of I, and Givental's constant (the expected number of
-anticanonical conics through a point) is its t² coefficient.
+The G-series is recovered by G = exp(-s t)·L⁻¹(I), computed as
+L⁻¹(regular_shift(I, -s)), where s is the linear coefficient of I, and
+Givental's constant (the expected number of anticanonical conics through
+a point) is its t² coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Dict, Optional
 
 from . import d3
 from .qexp import ETA_PRODUCTS, sigma1
-from .series import SeriesError, TruncatedSeries, inverse_laplace
+from .series import (
+    SeriesError,
+    TruncatedSeries,
+    inverse_laplace,
+    laplace,
+    regular_shift,
+)
 
 #: Shift marker for families where any integer shift produces an identity.
 FREE = None
@@ -129,47 +141,66 @@ def family(key: str) -> FamilyDescriptor:
 # -- I-series coefficient generators -----------------------------------------
 
 
-def _exp_power_coeffs(m: int, power: int, order: int) -> list:
-    """[t^k] (Σ_a t^a / a!^m)^power for k = 0..order, exact rationals."""
-    base = TruncatedSeries(
-        [Fraction(1, factorial(a) ** m) for a in range(order + 1)], order
-    )
-    return list((base ** power).coeffs)
+def _pascal(n: int) -> list:
+    """Rows 0..n of Pascal's triangle, row m holding C(m, 0..m)."""
+    rows = [[1]]
+    for _ in range(n):
+        last = rows[-1]
+        rows.append([1] + [x + y for x, y in zip(last, last[1:])] + [1])
+    return rows
 
 
-@lru_cache(maxsize=None)
-def _iseries_coeff(key: str, k: int) -> Fraction:
+def _central(n: int) -> list:
+    """C(2k, k) for k = 0..n."""
+    out = [1]
+    for k in range(n):
+        out.append(out[-1] * 2 * (2 * k + 1) // (k + 1))
+    return out
+
+
+def _y30_coeff(rows: list, k: int) -> int:
+    """Σ_{a+b+c=k} C(a+b,a)·C(a+c,a)·C(b+c,b)·C(k,a)·C(k-a,b), summed over
+    a <= b <= c and weighted by the number of distinct permutations."""
+    total = 0
+    for a in range(k // 3 + 1):
+        for b in range(a, (k - a) // 2 + 1):
+            c = k - a - b
+            term = (rows[a + b][a] * rows[a + c][a] * rows[b + c][b]
+                    * rows[k][a] * rows[k - a][b])
+            if a == b == c:
+                total += term
+            elif a == b or b == c:
+                total += 3 * term
+            else:
+                total += 6 * term
+    return total
+
+
+def _closed_form_coeffs(key: str, order: int) -> list:
+    """The integer coefficients i_0..i_order of a closed-form family."""
     if key == "X6":
-        return Fraction(factorial(6 * k), factorial(3 * k) * factorial(k) ** 3)
-    if key == "Y12_2":
-        franel = sum(comb(k, a) ** 3 for a in range(k + 1))
-        return Fraction(comb(2 * k, k) * franel)
+        return [factorial(6 * k) // (factorial(3 * k) * factorial(k) ** 3)
+                for k in range(order + 1)]
+    rows = _pascal(order)
+    if key == "Y20":
+        return [sum(x ** 4 for x in row) for row in rows]
     if key == "Y30":
-        fact = [factorial(i) for i in range(k + 1)]
-        total = 0
-        for a in range(k + 1):
-            for b in range(a, k + 1):
-                c = k - a - b
-                if c < b:
-                    break
-                term = (
-                    fact[a + b] * fact[a + c] * fact[b + c] * fact[k]
-                    // (fact[a] * fact[b] * fact[c]) ** 3
-                )
-                if a == b == c:
-                    mult = 1
-                elif a == b or b == c:
-                    mult = 3
-                else:
-                    mult = 6
-                total += mult * term
-        return Fraction(total)
+        return [_y30_coeff(rows, k) for k in range(order + 1)]
+    central = _central(order)
+    if key == "Y24":
+        return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))
+                for k, row in enumerate(rows)]
+    if key == "Y12_2":
+        return [central[k] * sum(x ** 3 for x in row) for k, row in enumerate(rows)]
+    if key == "Y12_3":
+        return [central[k] * sum(x * x * central[j] for j, x in enumerate(row))
+                for k, row in enumerate(rows)]
     raise UnknownFamily(key)
 
 
 def iseries(key: str, order: int) -> TruncatedSeries:
     """The I-series of the family, exact to the requested order."""
-    fam = family(key)
+    family(key)  # raises UnknownFamily
     if key in EVEN_REDUCTION:
         inner = iseries(EVEN_REDUCTION[key], order // 2)
         cs = [Fraction(0)] * (order + 1)
@@ -178,37 +209,16 @@ def iseries(key: str, order: int) -> TruncatedSeries:
         return TruncatedSeries(cs, order)
     if key == "Y28":
         return d3.holomorphic_solution(d3.OPERATORS["L14"], order)
-    if key == "Y20":
-        conv = _exp_power_coeffs(4, 2, order)
-        return TruncatedSeries(
-            [Fraction(factorial(k)) ** 4 * conv[k] for k in range(order + 1)], order
-        )
-    if key == "Y24":
-        conv = _exp_power_coeffs(2, 4, order)
-        return TruncatedSeries(
-            [Fraction(factorial(k)) ** 2 * conv[k] for k in range(order + 1)], order
-        )
-    if key == "Y12_3":
-        conv = _exp_power_coeffs(2, 3, order)
-        return TruncatedSeries(
-            [comb(2 * k, k) * Fraction(factorial(k)) ** 2 * conv[k]
-             for k in range(order + 1)],
-            order,
-        )
-    if key in ("X6", "Y12_2", "Y30"):
-        return TruncatedSeries(
-            [_iseries_coeff(key, k) for k in range(order + 1)], order
-        )
-    raise UnknownFamily(key)
+    return TruncatedSeries(_closed_form_coeffs(key, order), order)
 
 
 def gseries(key: str, order: int) -> TruncatedSeries:
-    """G = exp(-s t) · L⁻¹(I); constant term 1 and zero linear term."""
+    """G = exp(-s t) · L⁻¹(I) = L⁻¹(regular_shift(I, -s)); constant term 1
+    and zero linear term."""
     fam = family(key)
     if fam.key == "Y28":
         raise FreeShift("Y28 has no pinned shift; its I-series is defined directly")
-    s = fam.formula_shift
-    g = TruncatedSeries.exponential(-s, order) * inverse_laplace(iseries(key, order))
+    g = inverse_laplace(regular_shift(iseries(key, order), -fam.formula_shift))
     if g.order >= 1 and g.coeffs[1]:
         raise NonzeroLinearTerm(f"G-series of {key} has linear term {g.coeffs[1]}")
     return g
@@ -273,20 +283,17 @@ def check_exp_relation(order: int) -> RelationReport:
         L[G(Y48_3)(√x)] = e^x · L[G(Y48_2)(√x)]
 
     coefficientwise k!·g3_{2k} = Σ_j j!·g2_{2j}/(k-j)!, which is the
-    binomial transform between the two coefficient sequences.  (The bare,
+    binomial transform between the two coefficient sequences.  It is
+    checked as one product exp(x)·h2 = h3 with h_k = k!·g_{2k}.  (The bare,
     unregularized product form already fails at k = 2: 15/4 vs 5.)
     """
-    g2 = gseries("Y48_2", order)
-    g3 = gseries("Y48_3", order)
-    bad = None
-    for k in range(order // 2 + 1):
-        lhs = factorial(k) * g3.coeffs[2 * k]
-        rhs = sum(
-            factorial(j) * g2.coeffs[2 * j] / factorial(k - j) for j in range(k + 1)
-        )
-        if lhs != rhs:
-            bad = k
-            break
+    half = order // 2
+    h2 = laplace(TruncatedSeries(gseries("Y48_2", order).coeffs[::2], half))
+    h3 = laplace(TruncatedSeries(gseries("Y48_3", order).coeffs[::2], half))
+    rhs = TruncatedSeries.exponential(1, half) * h2
+    bad = next((k for k in range(half + 1) if h3.coeffs[k] != rhs.coeffs[k]), None)
     return RelationReport(
-        "L[G(Y48_3)(sqrt x)] = e^x * L[G(Y48_2)(sqrt x)]", order, bad is None, bad
+        "L[G(Y48_3)(sqrt x)] = e^x * L[G(Y48_2)(sqrt x)]", order, bad is None, bad,
+        None if bad is None else h3.coeffs[bad],
+        None if bad is None else rhs.coeffs[bad],
     )

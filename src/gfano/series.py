@@ -20,17 +20,22 @@ built as one reduced Fraction at the end:
               (1/A)_n = d·B_n / a_0^(n+1)
     A∘v       Horner over int lists, R_M = A_M, R_n = R_(n+1)·v + A_n·E^(M-n),
               divided by D·E^M   (A = A/D of order M, inner v = v/E)
+    shift     the binomial transform below, over A = A/D and s = p/q
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
 
 On top of ring arithmetic the module provides the shift/regularization
 operators used throughout:
 
-    laplace(A)          = Σ n! a_n t^n
-    inverse_laplace(A)  = Σ a_n / n! t^n
-    shifted_laplace(A, s) = laplace(exp(s t) · A)
-    regular_shift(A, s) = shifted_laplace(inverse_laplace(A), s)
-    normalize(A)        = regular_shift(A, -a_1)   (kills the linear term)
+    laplace(A)            = Σ n! a_n t^n
+    inverse_laplace(A)    = Σ a_n / n! t^n
+    regular_shift(A, s)   = laplace(exp(s t) · inverse_laplace(A))
+                          = Σ_n (Σ_k C(n,k) s^(n-k) a_k) t^n
+    shifted_laplace(A, s) = laplace(exp(s t) · A) = regular_shift(laplace(A), s)
+    normalize(A)          = regular_shift(A, -a_1)   (kills the linear term)
+
+regular_shift is computed as that binomial transform on the numerators,
+never as a product with exp(s t), whose 1/n! would scale them by K!.
 """
 
 from __future__ import annotations
@@ -364,12 +369,29 @@ def inverse_laplace(a: TruncatedSeries) -> TruncatedSeries:
 
 def shifted_laplace(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
     """laplace(exp(s t) · a)."""
-    return laplace(TruncatedSeries.exponential(s, a.order) * a)
+    return regular_shift(laplace(a), s)
 
 
 def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
-    """shifted_laplace ∘ inverse_laplace; shifts the linear coefficient by s."""
-    return shifted_laplace(inverse_laplace(a), s)
+    """laplace(exp(s t) · inverse_laplace(a)); shifts the linear coefficient
+    by s.
+
+    This is the binomial transform b_n = Σ_k C(n,k) s^(n-k) a_k.  With
+    a = A/D and s = p/q, b_n·D·q^n = Σ_k C(n,k)·p^(n-k)·q^k·A_k is index 0
+    of the n-th pass of Pascal's rule x_i <- p·x_i + q·x_(i+1) over A, a
+    list that shortens by one per pass; the loop multiplies the numerators
+    by the small ints p and q only.
+    """
+    s = _frac(s)
+    p, q = s.numerator, s.denominator
+    k = a.order
+    row, d = _scaled(a.coeffs, k)
+    out = [Fraction(row[0], d)]
+    for _ in range(k):
+        row = [p * x + q * y for x, y in zip(row, row[1:])]
+        d *= q
+        out.append(Fraction(row[0], d))
+    return TruncatedSeries(out, k)
 
 
 def normalize(a: TruncatedSeries) -> TruncatedSeries:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from gfano import verify
-from gfano.cli import main
+from gfano import periods, verify
+from gfano.cli import MAX_ORDER, main
+from gfano.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -61,6 +62,31 @@ class TestVerify:
     def test_bad_order_is_config_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "Y24", "--order", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "ALL"),
+        ("sweep", "--family", "Y28", "--sweep-range", "0:1"),
+        ("series", "--family", "Y30"),
+    ])
+    def test_absurd_order_is_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("verify_all", "verify_identity", "sweep_free_shift"):
+            monkeypatch.setattr(verify, name, refuse)
+        monkeypatch.setattr(periods, "iseries", refuse)
+        code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
+        assert code == 2 and out == ""
+        assert f"--order {MAX_ORDER + 1} is above {MAX_ORDER}" in err
+        assert "order^3" in err
+
+    def test_max_order_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(periods, "iseries",
+                            lambda key, order: TruncatedSeries([1], order))
+        code, out, _ = run(capsys, "series", "--family", "Y30",
+                           "--order", str(MAX_ORDER), "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == MAX_ORDER
 
 
 class TestSweep:

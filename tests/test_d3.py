@@ -26,6 +26,58 @@ PRINTED_SOLUTIONS = {
 
 small_ints = st.integers(-50, 50)
 operators = st.tuples(*([small_ints] * 5)).map(lambda t: D3Operator(*t))
+small_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+rational_operators = (
+    st.tuples(*([small_rationals] * 5))
+    .filter(lambda t: any(b.denominator != 1 for b in t))
+    .map(lambda t: D3Operator(*t))
+)
+rational_series = st.integers(0, 12).flatmap(
+    lambda k: st.lists(small_rationals, min_size=k + 1, max_size=k + 1).map(
+        lambda cs: TruncatedSeries(cs, k)
+    )
+)
+
+
+# Fraction oracles for the integer recursions: the recursion as the
+# module docstring reads it, one Fraction operation per term.
+
+
+def fraction_solution(op, order):
+    b1, b2, b3, b4, b5 = op.b1, op.b2, op.b3, op.b4, op.b5
+    cs = [F(1)]
+    for n in range(1, order + 1):
+        acc = b1 * n * (n - 1) * (2 * n - 1) * cs[n - 1]
+        if n >= 2:
+            acc += (n - 1) * (b2 * n * (n - 2) + 4 * b3) * cs[n - 2]
+        if n >= 3:
+            acc += b4 * (n - 1) * (n - 2) * (2 * n - 3) * cs[n - 3]
+        if n >= 4:
+            acc += b5 * (n - 1) * (n - 2) * (n - 3) * cs[n - 4]
+        cs.append(acc / n ** 3)
+    return TruncatedSeries(cs, order)
+
+
+def fraction_apply(op, f):
+    b1, b2, b3, b4, b5 = op.b1, op.b2, op.b3, op.b4, op.b5
+    cs = f.coeffs
+    out = []
+    for n in range(f.order + 1):
+        acc = n ** 3 * cs[n]
+        if n >= 1:
+            acc -= b1 * (n - 1) * n * (2 * n - 1) * cs[n - 1]
+        if n >= 2:
+            acc -= (n - 1) * (b2 * (n - 2) * n + 4 * b3) * cs[n - 2]
+        if n >= 3:
+            acc -= b4 * (n - 2) * (n - 1) * (2 * n - 3) * cs[n - 3]
+        if n >= 4:
+            acc -= b5 * (n - 3) * (n - 2) * (n - 1) * cs[n - 4]
+        out.append(acc)
+    return TruncatedSeries(out, f.order)
+
+
+def all_fractions(f):
+    return all(type(c) is F for c in f.coeffs)
 
 
 class TestCatalog:
@@ -80,6 +132,28 @@ class TestApply:
     def test_recursion_solves_operator(self, op):
         sol = holomorphic_solution(op, 12)
         assert all(c == 0 for c in apply_operator(op, sol).coeffs)
+
+
+class TestIntegerRecursion:
+    @settings(max_examples=40)
+    @given(st.one_of(operators, rational_operators), st.integers(0, 14))
+    def test_solution_matches_fraction_recursion(self, op, order):
+        got = holomorphic_solution(op, order)
+        assert got == fraction_solution(op, order)
+        assert all_fractions(got)
+
+    @settings(max_examples=40)
+    @given(st.one_of(operators, rational_operators), rational_series)
+    def test_apply_matches_fraction_action(self, op, f):
+        got = apply_operator(op, f)
+        assert got == fraction_apply(op, f)
+        assert all_fractions(got)
+
+    @settings(max_examples=25)
+    @given(rational_operators)
+    def test_recursion_solves_rational_operator(self, op):
+        sol = holomorphic_solution(op, 12)
+        assert apply_operator(op, sol) == TruncatedSeries([0], 12)
 
 
 class TestBasisChange:

@@ -1,9 +1,11 @@
 """I-series generators vs brute-force enumeration; G-series; relations."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction as F
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -80,6 +82,50 @@ def brute_force_coefficient(key, k):
     raise KeyError(key)
 
 
+def exp_power_form(key, order):
+    """The generators as k!^m [t^k] (Σ t^a/a!^m)^p, the power form the
+    binomial sums replaced."""
+    m, power = {"Y20": (4, 2), "Y24": (2, 4), "Y12_3": (2, 3)}[key]
+    base = TruncatedSeries([F(1, factorial(a) ** m) for a in range(order + 1)], order)
+    conv = (base ** power).coeffs
+    return [
+        (comb(2 * k, k) if key == "Y12_3" else 1) * factorial(k) ** m * conv[k]
+        for k in range(order + 1)
+    ]
+
+
+def canonical_sha256(series_by_key):
+    """sha256 of the sorted, compact JSON of {key: series.to_json()}."""
+    text = json.dumps({key: s.to_json() for key, s in series_by_key.items()},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the Fraction generators, shift and D3 recursion before the
+# period layer moved onto integers; they pin its outputs bit for bit.
+PINNED_DIGESTS = {
+    "iseries": "22cf9d721bfb2b853fa95de73a36079619c5711ff7b809b1d645b33ab18261f1",
+    "gseries": "995c96587e491f6f40eb9582304c032e766265659cc41deca1807330a5d958e2",
+    "d3": "1f87e88b0193b73d4c58e5012dc0bd1e20a488cdc342cfab042ce194395afb76",
+}
+
+
+class TestPinnedOutputs:
+    def test_iseries_of_all_families_to_100(self):
+        got = {key: iseries(key, 100) for key in sorted(FAMILIES)}
+        assert canonical_sha256(got) == PINNED_DIGESTS["iseries"]
+
+    def test_gseries_to_100(self):
+        got = {key: gseries(key, 100) for key in sorted(FAMILIES) if key != "Y28"}
+        assert len(got) == 8
+        assert canonical_sha256(got) == PINNED_DIGESTS["gseries"]
+
+    def test_catalog_solutions_to_200(self):
+        got = {key: d3.holomorphic_solution(op, 200)
+               for key, op in sorted(d3.OPERATORS.items())}
+        assert canonical_sha256(got) == PINNED_DIGESTS["d3"]
+
+
 class TestISeries:
     @pytest.mark.parametrize("key", sorted(PRINTED_ISERIES))
     def test_printed_prefixes(self, key):
@@ -95,6 +141,10 @@ class TestISeries:
         got = iseries(key, 12)
         for k in range(13):
             assert got.coeffs[k] == brute_force_coefficient(key, k), (key, k)
+
+    @pytest.mark.parametrize("key", ["Y20", "Y24", "Y12_3"])
+    def test_against_exp_power_form_to_60(self, key):
+        assert list(iseries(key, 60).coeffs) == exp_power_form(key, 60)
 
     def test_positive_integers(self):
         for key in FAMILIES:
@@ -183,6 +233,25 @@ class TestRelations:
     def test_exp_relation_passes_to_k20(self):
         report = check_exp_relation(40)
         assert report.ok, report
+
+    def test_exp_relation_reports_a_tampered_coefficient(self, monkeypatch):
+        real = periods.gseries
+
+        def tampered(key, order):
+            g = real(key, order)
+            if key != "Y48_3":
+                return g
+            cs = list(g.coeffs)
+            cs[6] += 1
+            return TruncatedSeries(cs, g.order)
+
+        monkeypatch.setattr(periods, "gseries", tampered)
+        report = check_exp_relation(20)
+        assert not report.ok
+        assert report.first_mismatch == 3
+        # h3_3 = 3!·g3_6 grew by 3! = 6 over the e^x side
+        assert report.lhs - report.rhs == 6
+        assert report.to_json()["status"] == "FAIL"
 
     def test_exp_relation_first_steps_by_hand(self):
         g2 = inverse_laplace(iseries("Y48_2", 4))

@@ -78,6 +78,11 @@ def recurrence_reciprocal(a):
     return S(out, a.order)
 
 
+def exp_product_shift(a, s):
+    """regular_shift as it is defined: laplace(exp(s t) · inverse_laplace(a))."""
+    return laplace(schoolbook_product(S.exponential(s, a.order), inverse_laplace(a)))
+
+
 def all_fractions(a):
     return all(type(c) is F for c in a.coeffs)
 
@@ -165,6 +170,48 @@ class TestIntegerKernel:
         assert got == recurrence_reciprocal(a)
         assert all_fractions(got)
         assert a * got == S.one(a.order)
+
+
+class TestBinomialShift:
+    shifts = st.one_of(
+        st.just(0),
+        st.integers(-6, 6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    )
+
+    @settings(max_examples=80)
+    @given(series_strategy(0, 10), shifts)
+    def test_regular_shift_matches_exp_product(self, a, s):
+        got = regular_shift(a, s)
+        assert got == exp_product_shift(a, s)
+        assert all_fractions(got)
+
+    @settings(max_examples=40)
+    @given(
+        series_strategy(1, 10).filter(
+            lambda a: len({c.denominator for c in a.coeffs}) > 1
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(
+            lambda x: x.denominator != 1
+        ),
+    )
+    def test_mixed_denominators_and_non_integral_shift(self, a, s):
+        got = regular_shift(a, s)
+        assert got == exp_product_shift(a, s)
+        assert all_fractions(got)
+
+    @pytest.mark.parametrize("s", [0, 3, F(-7, 4)])
+    def test_order_zero(self, s):
+        got = regular_shift(S([F(5, 6)], 0), s)
+        assert got == S([F(5, 6)], 0)
+        assert all_fractions(got)
+
+    @settings(max_examples=30)
+    @given(series_strategy(0, 8), shifts)
+    def test_shifted_laplace_matches_exp_product(self, a, s):
+        got = shifted_laplace(a, s)
+        assert got == laplace(schoolbook_product(S.exponential(s, a.order), a))
+        assert all_fractions(got)
 
 
 class TestMultiply:
