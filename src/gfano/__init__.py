@@ -30,7 +30,14 @@ from .qexp import (
     discriminant,
     klein_j,
 )
-from .d3 import D3Operator, OPERATORS, from_a_basis, apply_operator, holomorphic_solution
+from .d3 import (
+    D3Operator,
+    OPERATORS,
+    from_a_basis,
+    apply_operator,
+    apply_operator_in,
+    holomorphic_solution,
+)
 from .periods import (
     FAMILIES,
     FamilyDescriptor,
@@ -83,7 +90,7 @@ __all__ = [
     "QExpansion", "ETA_PRODUCTS", "eta", "eta_product", "sigma1",
     "eisenstein_e4", "discriminant", "klein_j",
     "D3Operator", "OPERATORS", "from_a_basis", "apply_operator",
-    "holomorphic_solution",
+    "apply_operator_in", "holomorphic_solution",
     "FAMILIES", "FamilyDescriptor", "family", "iseries", "gseries",
     "givental_constant", "check_even_substitution", "check_exp_relation",
     "hauptmodul", "hauptmodul_json", "renormalize_constant",

@@ -28,8 +28,9 @@ from .series import normalize
 SCHEMA = "gfano-report/1"
 
 #: Largest accepted --order.  The exact checks cost about the cube of the
-#: order: one identity takes some 30 s at order 500 on a 2-vCPU x86 VM,
-#: and each doubling multiplies that by about ten.
+#: order.  At order 500 on a 2-vCPU x86 VM one identity takes about 1 s
+#: (Y24) to 5 s (Y30, whose triple-sum I-series dominates), and the pooled
+#: battery about 8 s; each doubling multiplies that by six to twelve.
 MAX_ORDER = 1000
 
 
@@ -64,6 +65,9 @@ def _cmd_verify(args) -> int:
     if args.family == "ALL":
         if args.s is not None or args.c is not None:
             raise SystemExit2("--s/--c overrides need a single --family")
+        if args.order > verify.CLASSICAL_MAX_ORDER:
+            print(f"note: the E4 and Delta items are capped at order "
+                  f"{verify.CLASSICAL_MAX_ORDER}", file=sys.stderr)
         reports = verify.verify_all(args.order, workers=min(4, os.cpu_count() or 1))
     else:
         fam = periods.family(args.family)
@@ -183,7 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=None, help="constant-term override")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="free-shift sweep with c = s+1")
+    p = sub.add_parser(
+        "sweep", help="free-shift sweep with c = s+1",
+        description="Check the identity for each shift s in a range with c = s+1 "
+                    "(Y28, Y30).  These families have e = 1, so every s re-checks "
+                    "the one identity F(1/H_1) = eta * H_1, with F the normalized "
+                    "I-series.")
     common(p)
     p.add_argument("--sweep-range", required=True, metavar="A:B",
                    help="inclusive integer shift range")
@@ -219,8 +228,8 @@ def main(argv=None) -> int:
         return 2
     if order > MAX_ORDER:
         print(f"error: --order {order} is above {MAX_ORDER}; the exact checks cost "
-              "about order^3 (one identity takes some 30 s at order 500, about "
-              "ten times that per doubling)", file=sys.stderr)
+              "about order^3 (the battery takes some 8 s at order 500, six to "
+              "twelve times that per doubling)", file=sys.stderr)
         return 2
     try:
         return args.func(args)

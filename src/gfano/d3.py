@@ -5,23 +5,29 @@ With D = t·d/dt the normalized operator is
     L(b1..b5) = D³ - t·b1·D(D+1)(2D+1) - t²·(D+1)(b2·D(D+2) + 4·b3)
                    - t³·b4·(D+1)(D+2)(2D+3) - t⁴·b5·(D+1)(D+2)(D+3)
 
+Write L = D³ − Σ_{j=1..4} t^j·Q_j(D), with Q_j the four cubics above.
 Each L has a one-dimensional space of analytic solutions normalized to
-start at 1; the coefficients obey the four-term recursion (derived from
-the operator by reading off the t^n coefficient of L f = 0)
+start at 1; since t^j·Q_j(D) sends t^(n-j) to Q_j(n-j)·t^n, the
+coefficients obey the four-term recursion
 
     n³ c_n = b1·n(n-1)(2n-1)·c_{n-1} + (n-1)(b2·n(n-2) + 4 b3)·c_{n-2}
            + b4·(n-1)(n-2)(2n-3)·c_{n-3} + b5·(n-1)(n-2)(n-3)·c_{n-4}
 
 which in particular forces c_1 = 0.  Both the recursion and the action
 of L run on integers.  With the b's over their common denominator d,
-B_i = d·b_i, and P_j(n)·B the integer factor d times the factor of c_{n-j}
-above, the scaled coefficients C_n = n!³·d^n·c_n obey
+B_i = d·b_i, and d·Q_j(n-j) the integer factor of c_{n-j} above, the
+scaled coefficients C_n = n!³·d^n·c_n obey
 
-    C_n = Σ_{j=1..4} P_j(n)·B·C_{n-j}·((n-1)!/(n-j)!)³·d^(j-1),   C_0 = 1,
+    C_n = Σ_{j=1..4} d·Q_j(n-j)·C_{n-j}·((n-1)!/(n-j)!)³·d^(j-1),   C_0 = 1,
 
 so each step multiplies big ints by small ones, and c_n = C_n/(n!³·d^n)
 is one reduced Fraction.  apply_operator sums the same integer factors
 over the numerators of f and divides by d times their denominator.
+
+apply_operator_in applies L in another variable t(q).  With
+θ_t = (t/(q·dt/dq))·q d/dq it evaluates θ_t³ f − Σ_j t^j·Q_j(θ_t) f by
+Horner in t.  The identity check uses it to test F(T) = R as "L, written
+in T, kills R", with no composition.
 
 The catalog below lists the six operators whose solutions are the
 normalized quantum periods of the higher-rank G-Fano threefolds.
@@ -38,7 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .series import Rational, TruncatedSeries, _frac, _scaled
+from .series import (
+    Rational,
+    SeriesError,
+    TruncatedSeries,
+    _convolve,
+    _frac,
+    _scaled,
+    _terms,
+)
 
 
 @dataclass(frozen=True)
@@ -102,15 +116,29 @@ def _scaled_operator(op: D3Operator) -> tuple[tuple[int, ...], int]:
     return tuple(b.numerator * (d // b.denominator) for b in bs), d
 
 
-def _weights(big_b: tuple[int, ...], n: int) -> tuple[int, int, int, int]:
-    """d times the factors of c_(n-1) .. c_(n-4) in the t^n recursion."""
+def _theta_polynomials(big_b: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """d·Q_1 .. d·Q_4 for L = θ³ − Σ_j t^j·Q_j(θ), as coefficients of θ^0..θ^3.
+
+    Q_1 = b1·θ(θ+1)(2θ+1), Q_2 = (θ+1)(b2·θ(θ+2) + 4 b3),
+    Q_3 = b4·(θ+1)(θ+2)(2θ+3), Q_4 = b5·(θ+1)(θ+2)(θ+3).
+    """
     b1, b2, b3, b4, b5 = big_b
     return (
-        b1 * n * (n - 1) * (2 * n - 1),
-        (n - 1) * (b2 * n * (n - 2) + 4 * b3),
-        b4 * (n - 1) * (n - 2) * (2 * n - 3),
-        b5 * (n - 1) * (n - 2) * (n - 3),
+        (0, b1, 3 * b1, 2 * b1),
+        (4 * b3, 2 * b2 + 4 * b3, 3 * b2, b2),
+        (6 * b4, 13 * b4, 9 * b4, 2 * b4),
+        (6 * b5, 11 * b5, 6 * b5, b5),
     )
+
+
+def _weights(polys: tuple, n: int) -> tuple[int, ...]:
+    """d times the factors of c_(n-1) .. c_(n-4) in the t^n recursion:
+    t^j·Q_j(θ) sends t^(n-j) to Q_j(n-j)·t^n."""
+    out = []
+    for j, (c0, c1, c2, c3) in enumerate(polys, 1):
+        x = n - j
+        out.append(c0 + x * (c1 + x * (c2 + x * c3)))
+    return tuple(out)
 
 
 def apply_operator(op: D3Operator, f: TruncatedSeries) -> TruncatedSeries:
@@ -122,15 +150,62 @@ def apply_operator(op: D3Operator, f: TruncatedSeries) -> TruncatedSeries:
     d·D once per coefficient.
     """
     big_b, d = _scaled_operator(op)
+    polys = _theta_polynomials(big_b)
     k = f.order
     cs, big_d = _scaled(f.coeffs, k)
     out = []
     for n in range(k + 1):
         acc = d * n ** 3 * cs[n]
-        for j, w in enumerate(_weights(big_b, n)[:n], 1):
+        for j, w in enumerate(_weights(polys, n)[:n], 1):
             acc -= w * cs[n - j]
         out.append(Fraction(acc, d * big_d))
     return TruncatedSeries(out, k)
+
+
+def apply_operator_in(op: D3Operator, f: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
+    """L applied to f read as a function of t, where f and t are series in q.
+
+    t must have valuation 1.  In the variable t the operator's θ = t·d/dt
+    is θ_t = u·q·d/dq with u = t/(q·dt/dq), and
+
+        L_t f = Σ_{j=0..4} t^j·P_j(θ_t) f,   P_0 = θ³, P_j = −Q_j (j ≥ 1),
+
+    which is evaluated by Horner in t.  Both t/q and dt/dq lose one order,
+    so t must be known through q^(K+1) for u, and the result, through q^K
+    (K = f.order).  The four θ_t-derivatives of f are scaled to one
+    denominator, and the P_j and the Horner loop run on integer numerators,
+    as `TruncatedSeries.compose` does.
+    """
+    k = f.order
+    if t.order < k + 1 or t.coeffs[0] or not t.coeffs[1]:
+        raise SeriesError(
+            f"t must have valuation 1 and order >= {k + 1}, got order {t.order}"
+        )
+    dt = TruncatedSeries([n * t.coeffs[n] for n in range(1, k + 2)], k)
+    u = TruncatedSeries(t.coeffs[1 : k + 2], k) / dt
+    derivs = [f]
+    for _ in range(3):
+        g = derivs[-1]
+        derivs.append(u * TruncatedSeries([n * c for n, c in enumerate(g.coeffs)], k))
+    scaled = [_scaled(g.coeffs, k) for g in derivs]
+    den = lcm(*(dd for _, dd in scaled))
+    xs = [[x * (den // dd) for x in xs] for xs, dd in scaled]
+
+    big_b, d = _scaled_operator(op)
+    polys = [(0, 0, 0, d)] + [tuple(-c for c in p) for p in _theta_polynomials(big_b)]
+    p_f = [[sum(c * x[n] for c, x in zip(p, xs)) for n in range(k + 1)] for p in polys]
+
+    v, e = _scaled(t.coeffs, k)
+    nz_v = _terms(v, k)
+    acc = p_f[4]
+    e_power = 1
+    for j in range(3, -1, -1):
+        e_power *= e
+        acc = _convolve(_terms(acc, k), nz_v, k)
+        for n in range(k + 1):
+            acc[n] += p_f[j][n] * e_power
+    big_d = d * den * e_power
+    return TruncatedSeries([Fraction(x, big_d) for x in acc], k)
 
 
 def holomorphic_solution(op: D3Operator, order: int) -> TruncatedSeries:
@@ -140,13 +215,14 @@ def holomorphic_solution(op: D3Operator, order: int) -> TruncatedSeries:
     docstring.
     """
     big_b, d = _scaled_operator(op)
+    polys = _theta_polynomials(big_b)
     big_c = [1]
     out = [Fraction(1)]
     scale = 1
     for n in range(1, order + 1):
         acc = 0
         falling = 1  # ((n-1)!/(n-j)!)³ · d^(j-1)
-        for j, w in enumerate(_weights(big_b, n)[:n], 1):
+        for j, w in enumerate(_weights(polys, n)[:n], 1):
             if w:
                 acc += w * falling * big_c[n - j]
             falling *= (n - j) ** 3 * d

@@ -8,11 +8,12 @@ operands; composition truncates to the order of the inner series.
 Equality is strict: two series are equal when they have the same order
 and the same coefficients; `agrees_to` compares a prefix explicitly.
 
-Products, reciprocals and compositions run on one integer core.  A
-coefficient slice is scaled by the lcm of its denominators into a list
-of integer numerators over one common denominator (`_scaled`); the loops
-then multiply and add Python ints only, and each output coefficient is
-built as one reduced Fraction at the end:
+Products, reciprocals, compositions and rational powers run on one
+integer core.  A coefficient slice is scaled by the lcm of its
+denominators into a list of integer numerators over one common
+denominator (`_scaled`); the loops then multiply and add Python ints
+only, and each output coefficient is built as one reduced Fraction at
+the end:
 
     A·B       numerators convolved over the sparser operand's nonzero terms,
               divided by da·db
@@ -20,6 +21,8 @@ built as one reduced Fraction at the end:
               (1/A)_n = d·B_n / a_0^(n+1)
     A∘v       Horner over int lists, R_M = A_M, R_n = R_(n+1)·v + A_n·E^(M-n),
               divided by D·E^M   (A = A/D of order M, inner v = v/E)
+    A^(u/m)   Miller's recurrence on G_n = n!·(mD)^n·p_n (see pow_rational),
+              divided by n!·(mD)^n
     shift     the binomial transform below, over A = A/D and s = p/q
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
@@ -105,7 +108,11 @@ def _convolve(nz_a: list[tuple[int, int]], nz_b: list[tuple[int, int]], k: int) 
 def power_step(a: Sequence[Fraction], p: Sequence[Fraction], e: Fraction, m: int) -> Fraction:
     """Σ_{0<j<m} ((e+1)j − m)·a_j·p_{m−j} / m, so that P = A^e (a_0 = p_0 = 1)
     has p_m = power_step(...) + e·a_m: J.C.P. Miller's recurrence (Knuth,
-    TAOCP vol. 2, §4.7), with the a_m term left to callers that lack it."""
+    TAOCP vol. 2, §4.7), with the a_m term left to callers that lack it.
+
+    This is the incremental Fraction step, for a caller that learns a_m
+    only after p_(m-1); `TruncatedSeries.pow_rational` is its integer form.
+    """
     total = Fraction(0)  # at m = 1 the sum is empty and must stay exact
     for j in range(1, m):
         if a[j]:
@@ -339,15 +346,34 @@ class TruncatedSeries:
         return TruncatedSeries(out, k)
 
     def pow_rational(self, e: Rational) -> "TruncatedSeries":
-        """Binomial series (1 + x)^e with x = self - 1; needs constant term 1."""
+        """Binomial series (1 + x)^e with x = self - 1; needs constant term 1.
+
+        Miller's recurrence (`power_step`) run on integers.  With e = u/m
+        and self = A/D, the values G_n = n!·(mD)^n·p_n obey G_0 = 1 and
+
+            G_n = Σ_{k=1..n} ((u+m)k − mn)·A_k·G_(n−k)·(n−1)!/(n−k)!·(mD)^(k−1),
+
+        summed by Horner in k so that every step multiplies a big int by a
+        small one; p_n = G_n/(n!·(mD)^n) is one reduced Fraction.
+        """
         if self.coeffs[0] != 1:
             raise NonUnitConstant("rational powers need constant term exactly 1")
         e = _frac(e)
-        a = self.coeffs
-        p = [Fraction(1)]
-        for m in range(1, self.order + 1):
-            p.append(power_step(a, p, e, m) + e * a[m])
-        return TruncatedSeries(p, self.order)
+        u, m = e.numerator, e.denominator
+        k = self.order
+        a, d = _scaled(self.coeffs, k)
+        md = m * d
+        big_g = [1]
+        out = [Fraction(1)]
+        scale = 1
+        for n in range(1, k + 1):
+            acc = 0
+            for j in range(n, 0, -1):
+                acc = acc * (n - j) * md + ((u + m) * j - m * n) * a[j] * big_g[n - j]
+            big_g.append(acc)
+            scale *= n * md
+            out.append(Fraction(acc, scale))
+        return TruncatedSeries(out, k)
 
 
 # -- shifts and regularizations ---------------------------------------------

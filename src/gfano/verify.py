@@ -10,9 +10,17 @@ Both sides are unit power series in q once the q-offsets cancel
 verifier compares them exactly to the working order and reports the first
 mismatching coefficient on failure.
 
+A family with a D3 operator L is checked through L, with no series
+composition: the identity is equivalent to F(T) = R with F = normalize(I),
+T = 1/H_{c−s} and R = eta·H_c^{σ₁/24}·(1 − s/H_c), and that holds through
+q^K exactly when R_0 = 1 and L, written in the variable T, kills R through
+q^K (see `_check_by_operator`).  The report is the one a composition
+would give, coefficient for coefficient.
+
 Two classical specializations get their own entry points: the square of
 Σ (6n)!/((3n)! n!³) j^{-n} equals E4 exactly, and j⁻¹ times its sixth
-power equals the discriminant Delta.
+power equals the discriminant Delta.  They have no operator in the
+five-parameter family and compose with 1/j.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from . import periods
+from . import d3, periods
 from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
 from .periods import EVEN_REDUCTION, FamilyDescriptor, family, iseries
 from .qexp import (
@@ -34,13 +42,27 @@ from .qexp import (
     eta_product,
     klein_j,
 )
-from .series import NonUnitConstant, TruncatedSeries, regular_shift
+from .series import (
+    NonUnitConstant,
+    SeriesError,
+    TruncatedSeries,
+    normalize,
+    regular_shift,
+)
 
 DEFAULT_ORDER = 60
+
+#: Order at which the battery checks the E4 and Delta identities when asked
+#: for more: both compose with 1/j, which is the battery's one composition.
+CLASSICAL_MAX_ORDER = 40
 
 
 class NotFreeShift(ValueError):
     """Shift sweep requested for a family whose shift is pinned."""
+
+
+class PeriodMismatch(SeriesError):
+    """A family's normalized I-series is not its D3 operator's solution."""
 
 
 @dataclass(frozen=True)
@@ -108,13 +130,16 @@ def verify_identity(
 ) -> IdentityReport:
     """Check I_s(1/H_c) = eta · H_c^{σ₁/24} for one family, exactly.
 
-    Index-2 families are routed through their even-variable reduction: the
-    t -> t² relation is asserted and the identity is then checked for the
-    index-1 partner at that family's own table row.
+    A family with a D3 operator is checked through that operator, with no
+    composition (see `_check_by_operator`); X6, which has none, composes
+    its shifted I-series with 1/H.  Index-2 families are routed through
+    their even-variable reduction: their own I-series is checked against
+    the index-1 partner's in t², and the identity is then checked for that
+    partner at this family's table row.
     """
     fam = family(key)
     if fam.index == 2:
-        reduction = periods.check_even_substitution(order)[key]
+        reduction = periods._even_substitution(key, order)
         if not reduction.ok:
             return IdentityReport(
                 reduction.name, key, s, c, order, False,
@@ -127,14 +152,60 @@ def verify_identity(
 
     s, c, h, rhs = _modular_side(fam, s, c, order)
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
+    if rhs.coeffs[0] != 1:
+        raise NonUnitConstant("both sides of the identity must be unit series")
+    if fam.d3_operator is not None:
+        return _check_by_operator(name, fam, s, c, h, rhs, order)
 
     base = iseries(key, order)
     i_series = regular_shift(base, s - base.coeffs[1])
     lhs = i_series.compose(inverse_hauptmodul(h).truncate(order))
-    if lhs.coeffs[0] != 1 or rhs.coeffs[0] != 1:
+    if lhs.coeffs[0] != 1:
         raise NonUnitConstant("both sides of the identity must be unit series")
-
     return _compare(name, key, s, c, order, lhs, rhs)
+
+
+def _check_by_operator(
+    name: str,
+    fam: FamilyDescriptor,
+    s: Fraction,
+    c: Fraction,
+    h: QExpansion,
+    rhs: TruncatedSeries,
+    order: int,
+) -> IdentityReport:
+    """I_s(1/H_c) = rhs through q^K, checked as an ODE with no composition.
+
+    The regular shift is a Möbius substitution,
+    regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), so with F = normalize(I)
+    the identity reads F(T) = R for T = 1/H_{c−s} and R = rhs·(1 − s/H_c).
+    F is the solution of the family's operator L with F_0 = 1, and the
+    t^n coefficient of L g is n³·g_n plus terms in g_0 .. g_(n−1).  So
+    R = F∘T through q^K exactly when R_0 = 1 and L, written in T, kills R
+    through q^K (Zagier, "Elliptic modular forms and their applications",
+    Prop. 21, is why a weight-2 form in a Hauptmodul satisfies such an
+    ODE).  At the first q^n (n ≥ 1) where L_T R does not vanish, the two
+    sides of the identity differ by −(L_T R)_n/n³, which gives the lhs of
+    the report.  The row is also tied to the closed-form I-series:
+    normalize(I) must be the operator's solution.
+    """
+    op = d3.OPERATORS[fam.d3_operator]
+    if normalize(iseries(fam.key, order)) != d3.holomorphic_solution(op, order):
+        raise PeriodMismatch(
+            f"normalized I-series of {fam.key} is not the solution of {fam.d3_operator}"
+        )
+    t = inverse_hauptmodul(hauptmodul(fam.hauptmodul, c - s, order))
+    r = rhs * (1 - s * inverse_hauptmodul(h))
+    residual = d3.apply_operator_in(op, r, t)
+    if residual.order != order:
+        raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")
+    n = next((n for n, x in enumerate(residual.coeffs) if x), None)
+    if n is None:
+        return IdentityReport(name, fam.key, s, c, order, True)
+    rhs_n = rhs.coeffs[n]
+    return IdentityReport(
+        name, fam.key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
+    )
 
 
 def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
@@ -196,7 +267,7 @@ def _hypergeometric_in_inverse_j(order: int) -> TruncatedSeries:
     return iseries("X6", order).compose(inv_j)
 
 
-def verify_kachru_vafa(order: int = 40) -> IdentityReport:
+def verify_kachru_vafa(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     """(Σ (6n)!/((3n)! n!³) j^{-n})² = E4, checked in squared form."""
     p = _hypergeometric_in_inverse_j(order)
     lhs = p * p
@@ -205,7 +276,7 @@ def verify_kachru_vafa(order: int = 40) -> IdentityReport:
                     order, lhs, rhs)
 
 
-def verify_delta(order: int = 40) -> IdentityReport:
+def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     """j⁻¹ · (Σ (6n)!/((3n)! n!³) j^{-n})⁶ = Delta as offset-1 expansions."""
     p = _hypergeometric_in_inverse_j(order)
     p6 = QExpansion(0, p) ** 6
@@ -232,12 +303,15 @@ def _battery_item(task) -> IdentityReport:
 def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityReport]:
     """The full battery: six index-1 rows, two index-2 reductions, E4, Delta.
 
+    E4 and Delta are checked at min(order, CLASSICAL_MAX_ORDER).
+
     Items are independent; with workers > 1 they run in a process pool and
     are aggregated back in the canonical (submission) order, so the output
     is identical either way.
     """
     tasks = [("identity", k, order) for k in BATTERY_KEYS]
-    tasks += [("kv", None, min(order, 40)), ("delta", None, min(order, 40))]
+    classical = min(order, CLASSICAL_MAX_ORDER)
+    tasks += [("kv", None, classical), ("delta", None, classical)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_battery_item, tasks))

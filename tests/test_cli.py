@@ -46,6 +46,23 @@ class TestVerify:
             "Y30", "Y28", "Y24", "Y20", "Y12_2", "Y12_3", "Y48_2", "Y48_3"
         ]
 
+    def test_e4_delta_cap_is_noted_on_stderr_only(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "ALL", "--order", "41",
+                             "--json")
+        assert code == 0
+        assert err.splitlines() == [
+            "note: the E4 and Delta items are capped at order 40"]
+        orders = [r["order"] for r in json.loads(out)["reports"]]
+        assert orders == [41] * 8 + [40, 40]
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "ALL", "--order", "40"),
+        ("--family", "Y24", "--order", "41"),
+    ])
+    def test_no_cap_note_when_nothing_is_capped(self, capsys, argv):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 0 and err == ""
+
     def test_unknown_family_is_config_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "Y99")
         assert code == 2
@@ -95,6 +112,11 @@ class TestSweep:
                            "--sweep-range", "0:3", "--order", "20")
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_help_says_each_shift_rechecks_one_identity(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--help")
+        assert code == 0
+        assert "F(1/H_1) = eta * H_1" in " ".join(out.split())
 
     def test_bad_range_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "Y28",

@@ -10,10 +10,11 @@ from gfano.d3 import (
     D3Operator,
     OPERATORS,
     apply_operator,
+    apply_operator_in,
     from_a_basis,
     holomorphic_solution,
 )
-from gfano.series import TruncatedSeries
+from gfano.series import SeriesError, TruncatedSeries
 
 PRINTED_SOLUTIONS = {
     "L6,2": [1, 0, 44, 528, 11292, 228000, 4999040, 112654080],
@@ -154,6 +155,45 @@ class TestIntegerRecursion:
     def test_recursion_solves_rational_operator(self, op):
         sol = holomorphic_solution(op, 12)
         assert apply_operator(op, sol) == TruncatedSeries([0], 12)
+
+
+class TestApplyInVariable:
+    """L written in a variable t(q): on f∘t it must give (L f)∘t."""
+
+    @settings(max_examples=30)
+    @given(rational_operators | operators, rational_series)
+    def test_in_q_itself_is_apply_operator(self, op, f):
+        t = TruncatedSeries.identity(f.order + 1)
+        assert apply_operator_in(op, f, t) == apply_operator(op, f)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rational_operators | operators, rational_series,
+           st.lists(small_rationals, min_size=13, max_size=13), small_rationals)
+    def test_chain_rule(self, op, f, tail, lead):
+        # a leading coefficient other than 1 keeps t general
+        if lead == 0:
+            lead = F(1)
+        k = f.order
+        t = TruncatedSeries([0, lead, *tail[:k]], k + 1)
+        inner = t.truncate(k)
+        assert apply_operator_in(op, f.compose(inner), t) == apply_operator(op, f).compose(inner)
+
+    @pytest.mark.parametrize("key", sorted(OPERATORS))
+    def test_kills_the_solution_in_any_variable(self, key):
+        op, k = OPERATORS[key], 25
+        t = TruncatedSeries([0, 1, *(F(n * n - 3, n + 1) for n in range(k))], k + 1)
+        f = holomorphic_solution(op, k).compose(t.truncate(k))
+        assert apply_operator_in(op, f, t) == TruncatedSeries.zero(k)
+
+    def test_needs_t_one_order_beyond_f(self):
+        # u = t/(q·dt/dq) through q^k needs t through q^(k+1)
+        op, f = OPERATORS["L12"], holomorphic_solution(OPERATORS["L12"], 10)
+        with pytest.raises(SeriesError):
+            apply_operator_in(op, f, TruncatedSeries.identity(10))
+        with pytest.raises(SeriesError):
+            apply_operator_in(op, f, TruncatedSeries([1, 1], 11))
+        with pytest.raises(SeriesError):
+            apply_operator_in(op, f, TruncatedSeries([0, 0, 1], 11))
 
 
 class TestBasisChange:

@@ -83,8 +83,28 @@ def exp_product_shift(a, s):
     return laplace(schoolbook_product(S.exponential(s, a.order), inverse_laplace(a)))
 
 
+def miller_power(a, e):
+    """(1 + x)^e by J.C.P. Miller's recurrence, one Fraction operation per
+    term: n·p_n = Σ_{k=1..n} ((e+1)k − n)·a_k·p_(n−k)."""
+    e = F(e)
+    p = [F(1)]
+    for n in range(1, a.order + 1):
+        total = sum((((e + 1) * k - n) * a.coeffs[k] * p[n - k] for k in range(1, n + 1)), F(0))
+        p.append(total / n)
+    return S(p, a.order)
+
+
 def all_fractions(a):
     return all(type(c) is F for c in a.coeffs)
+
+
+def unit_series_strategy(max_order=12):
+    """Constant term 1, mixed-denominator rational tail."""
+    return series_strategy(0, max_order).map(lambda a: S([1, *a.coeffs[1:]], a.order))
+
+
+#: e = u/m with negative and positive u and m up to 8.
+exponents = st.builds(F, st.integers(-24, 24), st.integers(1, 8))
 
 
 class TestEquality:
@@ -199,6 +219,14 @@ class TestBinomialShift:
         got = regular_shift(a, s)
         assert got == exp_product_shift(a, s)
         assert all_fractions(got)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(rationals, min_size=41, max_size=41), rationals)
+    def test_regular_shift_is_a_mobius_substitution(self, cs, s):
+        # regular_shift(a, s) = a(t/(1-st)) / (1-st), at order 40
+        a = S(cs, 40)
+        w = S([1, -s], 40)
+        assert regular_shift(a, s) == a.compose(S.identity(40) / w) / w
 
     @pytest.mark.parametrize("s", [0, 3, F(-7, 4)])
     def test_order_zero(self, s):
@@ -349,6 +377,37 @@ class TestPowRational:
         lhs = a.pow_rational(e1 + e2)
         rhs = a.pow_rational(e1) * a.pow_rational(e2)
         assert lhs == rhs
+
+
+class TestIntegerPower:
+    """pow_rational runs Miller's recurrence on n!·(mD)^n·p_n; the oracle runs
+    it on Fractions."""
+
+    @settings(max_examples=60)
+    @given(unit_series_strategy(), exponents)
+    def test_matches_fraction_miller(self, a, e):
+        got = a.pow_rational(e)
+        assert got == miller_power(a, e)
+        assert all_fractions(got)
+
+    @pytest.mark.parametrize("e", [F(-7, 8), F(5, 6), F(-1, 3), F(3, 2), F(-24, 7)])
+    def test_mixed_denominators(self, e):
+        a = series(1, F(1, 3), F(-5, 7), F(2, 9), 4, F(-11, 12), 0, F(3, 8))
+        assert a.pow_rational(e) == miller_power(a, e)
+
+    @settings(max_examples=20)
+    @given(unit_series_strategy())
+    def test_zero_exponent_is_one(self, a):
+        got = a.pow_rational(0)
+        assert got == S.one(a.order) and all_fractions(got)
+
+    @settings(max_examples=30)
+    @given(unit_series_strategy(), st.integers(-3, 4))
+    def test_integer_exponent_matches_pow(self, a, n):
+        assert a.pow_rational(n) == a ** n
+
+    def test_order_zero(self):
+        assert series(1).pow_rational(F(-3, 8)) == series(1)
 
 
 class TestExactness:

@@ -4,12 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from gfano import d3
-from gfano.periods import family, iseries
+from gfano import d3, periods, verify
+from gfano.hauptmodul import inverse_hauptmodul
+from gfano.periods import EVEN_REDUCTION, check_even_substitution, family, iseries
 from gfano.qexp import discriminant
-from gfano.series import normalize, regular_shift
+from gfano.series import SeriesError, TruncatedSeries, normalize, regular_shift
 from gfano.verify import (
+    BATTERY_KEYS,
+    IdentityReport,
     NotFreeShift,
+    PeriodMismatch,
     m_series,
     sweep_free_shift,
     verify_all,
@@ -26,6 +30,124 @@ TABLE_CONFIGS = [
     ("Y12_3", 6, 14),
     ("X6", 120, 744),
 ]
+
+
+def compose_route(key, s=None, c=None, order=60):
+    """The identity checked by composition, the oracle of the operator
+    route: I_s composed with 1/H_c, against eta·H_c^e, coefficient by
+    coefficient."""
+    fam = family(key)
+    if fam.index == 2:
+        base = compose_route(EVEN_REDUCTION[key], s, c, order)
+        return IdentityReport(f"{key} via {EVEN_REDUCTION[key]}: {base.name}", key,
+                              base.s, base.c, base.order, base.ok, base.first_mismatch)
+    s, c, h, rhs = verify._modular_side(fam, s, c, order)
+    base = iseries(key, order)
+    lhs = regular_shift(base, s - base.coeffs[1]).compose(inverse_hauptmodul(h).truncate(order))
+    name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
+    bad = next((n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
+    mismatch = None if bad is None else (bad, lhs.coeffs[bad], rhs.coeffs[bad])
+    return IdentityReport(name, key, s, c, order, bad is None, mismatch)
+
+
+def tamper_rhs(monkeypatch, n, delta=F(1, 3)):
+    """Make verify's right-hand side eta·H^e wrong at q^n by delta."""
+    real = verify._modular_side
+
+    def tampered(*args):
+        s, c, h, rhs = real(*args)
+        cs = list(rhs.coeffs)
+        cs[n] += delta
+        return s, c, h, TruncatedSeries(cs, rhs.order)
+
+    monkeypatch.setattr(verify, "_modular_side", tampered)
+
+
+class TestOperatorRoute:
+    """verify_identity checks a row through its D3 operator; its reports
+    must equal the composition route's field for field."""
+
+    @pytest.mark.parametrize("order", [30, 60])
+    @pytest.mark.parametrize("key", BATTERY_KEYS)
+    def test_battery_rows_match_compose_route(self, key, order):
+        report = verify_identity(key, order=order)
+        assert report.ok
+        assert report == compose_route(key, order=order)
+
+    @pytest.mark.parametrize("key,s,c", [
+        ("Y24", None, 7), ("Y24", 3, None), ("Y20", 1, 3), ("Y12_3", None, 13),
+        ("Y30", 5, 7), ("Y28", 2, 2),
+    ])
+    def test_failing_rows_match_compose_route(self, key, s, c):
+        report = verify_identity(key, s, c, 60)
+        assert not report.ok
+        assert report == compose_route(key, s, c, 60)
+
+    def test_y24_c7_reports_4_against_9_halves(self):
+        assert verify_identity("Y24", c=7).first_mismatch == (1, F(4), F(9, 2))
+
+    @pytest.mark.parametrize("key", ["Y24", "Y20", "Y12_2", "Y30"])
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_tampered_rhs_matches_compose_route(self, monkeypatch, key, n):
+        # q^30 = q^K: the residual must reach the last coefficient
+        tamper_rhs(monkeypatch, n)
+        report = verify_identity(key, order=30)
+        assert not report.ok and report.first_mismatch[0] == n
+        assert report == compose_route(key, order=30)
+
+    def test_no_composition_on_the_identity_path(self, monkeypatch):
+        def refuse(self, inner):
+            raise AssertionError("compose called")
+
+        monkeypatch.setattr(TruncatedSeries, "compose", refuse)
+        assert all(verify_identity(key, order=30).ok for key in BATTERY_KEYS)
+
+    def test_period_not_solving_the_operator_raises(self, monkeypatch):
+        real = verify.iseries
+
+        def bumped(key, order):
+            cs = list(real(key, order).coeffs)
+            cs[5] += 1
+            return TruncatedSeries(cs, order)
+
+        monkeypatch.setattr(verify, "iseries", bumped)
+        with pytest.raises(PeriodMismatch) as info:
+            verify_identity("Y24", order=20)
+        assert isinstance(info.value, SeriesError)
+
+    def test_short_residual_raises(self, monkeypatch):
+        real = d3.apply_operator_in
+        monkeypatch.setattr(d3, "apply_operator_in",
+                            lambda op, f, t: real(op, f, t).truncate(f.order - 1))
+        with pytest.raises(SeriesError):
+            verify_identity("Y20", order=20)
+
+
+class TestEvenSubstitution:
+    def test_checked_without_composition(self, monkeypatch):
+        def refuse(self, inner):
+            raise AssertionError("compose called")
+
+        monkeypatch.setattr(TruncatedSeries, "compose", refuse)
+        assert all(r.ok for r in check_even_substitution(40).values())
+
+    def test_each_index2_row_checks_only_its_own_family(self, monkeypatch):
+        real = periods.iseries
+
+        def tampered(key, order):
+            a = real(key, order)
+            if key != "Y48_3":
+                return a
+            cs = list(a.coeffs)
+            cs[5] = F(7)
+            return TruncatedSeries(cs, order)
+
+        monkeypatch.setattr(periods, "iseries", tampered)
+        assert verify_identity("Y48_2", order=20).ok
+        report = verify_identity("Y48_3", order=20)
+        assert not report.ok
+        assert report.first_mismatch == (5, F(7), F(0))
+        assert report.name == "Y48_3 = Y12_3(t^2)"
 
 
 class TestTableRows:
