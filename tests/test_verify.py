@@ -50,14 +50,14 @@ def compose_route(key, s=None, c=None, order=60):
     return IdentityReport(name, key, s, c, order, bad is None, mismatch)
 
 
-def tamper_rhs(monkeypatch, n, delta=F(1, 3)):
-    """Make verify's right-hand side eta·H^e wrong at q^n by delta."""
+def tamper_rhs(monkeypatch, n):
+    """Make verify's right-hand side eta·H^e wrong by 1/3 at q^n."""
     real = verify._modular_side
 
     def tampered(*args):
         s, c, h, rhs = real(*args)
         cs = list(rhs.coeffs)
-        cs[n] += delta
+        cs[n] += F(1, 3)
         return s, c, h, TruncatedSeries(cs, rhs.order)
 
     monkeypatch.setattr(verify, "_modular_side", tampered)
@@ -82,9 +82,6 @@ class TestOperatorRoute:
         report = verify_identity(key, s, c, 60)
         assert not report.ok
         assert report == compose_route(key, s, c, 60)
-
-    def test_y24_c7_reports_4_against_9_halves(self):
-        assert verify_identity("Y24", c=7).first_mismatch == (1, F(4), F(9, 2))
 
     @pytest.mark.parametrize("key", ["Y24", "Y20", "Y12_2", "Y30"])
     @pytest.mark.parametrize("n", [7, 30])
