@@ -27,8 +27,9 @@ for key in ("X6", "Y12_2", "Y12_3", "Y20", "Y24", "Y28", "Y30", "Y48_2", "Y48_3"
 
 print()
 print("normalized periods solve the catalog D3 operators:")
-for key in ("Y12_2", "Y12_3", "Y20", "Y24", "Y28", "Y30"):
-    fam = FAMILIES[key]
+for key, fam in FAMILIES.items():
+    if fam.d3_operator is None:
+        continue
     op = OPERATORS[fam.d3_operator]
     f = normalize(iseries(key, 40))
     residual = apply_operator(op, f)

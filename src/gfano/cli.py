@@ -88,6 +88,8 @@ def _cmd_sweep(args) -> int:
         s_range = range(int(lo), int(hi) + 1)
     except ValueError:
         raise SystemExit2(f"bad --sweep-range {args.sweep_range!r}, expected A:B")
+    if not s_range:
+        raise SystemExit2(f"empty --sweep-range {args.sweep_range!r}: A must not exceed B")
     reports = verify.sweep_free_shift(args.family, s_range, args.order)
     payload = {"schema": SCHEMA, "command": "sweep",
                "reports": [r.to_json() for r in reports]}

@@ -29,8 +29,10 @@ apply_operator_in applies L in another variable t(q).  With
 Horner in t.  The identity check uses it to test F(T) = R as "L, written
 in T, kills R", with no composition.
 
-The catalog below lists the six operators whose solutions are the
-normalized quantum periods of the higher-rank G-Fano threefolds.
+The catalog below lists the seven operators whose solutions are the
+normalized quantum periods of the G-Fano threefolds.  L1 belongs to the
+sextic double solid X6: it is θ³ − 8t(6θ+1)(6θ+3)(6θ+5), the operator
+of Σ (6n)!/((3n)! n!³) t^n, moved by the regular shift −120.
 
 The parameters also come in an alternate a-basis related over Z by
 
@@ -98,8 +100,9 @@ def from_a_basis(a01: Rational, a02: Rational, a03: Rational,
     )
 
 
-#: The six operators annihilating the normalized G-Fano quantum periods.
+#: The seven operators annihilating the normalized G-Fano quantum periods.
 OPERATORS = {
+    "L1": D3Operator(624, 535680, 137520, 33868800, 2778624000),
     "L6,2": D3Operator(6, 368, 88, 1056, 3584),
     "L6,3": D3Operator(8, 360, 108, 864, 2160),
     "L10": D3Operator(2, 112, 28, 184, 336),

@@ -115,7 +115,7 @@ class FamilyDescriptor:
 FAMILIES: Dict[str, FamilyDescriptor] = {
     f.key: f
     for f in [
-        FamilyDescriptor("X6", 1, 2, 1, 1, 120, 744, 120, "1A", "1+", None),
+        FamilyDescriptor("X6", 1, 2, 1, 1, 120, 744, 120, "1A", "1+", "L1"),
         FamilyDescriptor("Y12_2", 6, 12, 2, 1, 4, 10, 4, "6A", "6+", "L6,2"),
         FamilyDescriptor("Y12_3", 6, 12, 3, 1, 6, 14, 6, "6A", "6+", "L6,3"),
         FamilyDescriptor("Y20", 10, 20, 2, 1, 2, 4, 2, "10A", "10+", "L10"),

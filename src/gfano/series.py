@@ -105,21 +105,6 @@ def _convolve(nz_a: list[tuple[int, int]], nz_b: list[tuple[int, int]], k: int) 
     return out
 
 
-def power_step(a: Sequence[Fraction], p: Sequence[Fraction], e: Fraction, m: int) -> Fraction:
-    """Σ_{0<j<m} ((e+1)j − m)·a_j·p_{m−j} / m, so that P = A^e (a_0 = p_0 = 1)
-    has p_m = power_step(...) + e·a_m: J.C.P. Miller's recurrence (Knuth,
-    TAOCP vol. 2, §4.7), with the a_m term left to callers that lack it.
-
-    This is the incremental Fraction step, for a caller that learns a_m
-    only after p_(m-1); `TruncatedSeries.pow_rational` is its integer form.
-    """
-    total = Fraction(0)  # at m = 1 the sum is empty and must stay exact
-    for j in range(1, m):
-        if a[j]:
-            total += ((e + 1) * j - m) * a[j] * p[m - j]
-    return total / m
-
-
 class TruncatedSeries:
     """Dense truncated power series Σ_{n=0}^{K} c_n t^n with exact coefficients."""
 
@@ -348,8 +333,9 @@ class TruncatedSeries:
     def pow_rational(self, e: Rational) -> "TruncatedSeries":
         """Binomial series (1 + x)^e with x = self - 1; needs constant term 1.
 
-        Miller's recurrence (`power_step`) run on integers.  With e = u/m
-        and self = A/D, the values G_n = n!·(mD)^n·p_n obey G_0 = 1 and
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, §4.7),
+        n·p_n = Σ_{k=1..n} ((e+1)k − n)·a_k·p_(n−k), run on integers.  With
+        e = u/m and self = A/D, the values G_n = n!·(mD)^n·p_n obey G_0 = 1 and
 
             G_n = Σ_{k=1..n} ((u+m)k − mn)·A_k·G_(n−k)·(n−1)!/(n−k)!·(mD)^(k−1),
 

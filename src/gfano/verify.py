@@ -10,17 +10,17 @@ Both sides are unit power series in q once the q-offsets cancel
 verifier compares them exactly to the working order and reports the first
 mismatching coefficient on failure.
 
-A family with a D3 operator L is checked through L, with no series
+Every family is checked through its D3 operator L, with no series
 composition: the identity is equivalent to F(T) = R with F = normalize(I),
 T = 1/H_{c−s} and R = eta·H_c^{σ₁/24}·(1 − s/H_c), and that holds through
 q^K exactly when R_0 = 1 and L, written in the variable T, kills R through
-q^K (see `_check_by_operator`).  The report is the one a composition
-would give, coefficient for coefficient.
+q^K (see `verify_identity`).  The report is the one a composition would
+give, coefficient for coefficient.
 
 Two classical specializations get their own entry points: the square of
 Σ (6n)!/((3n)! n!³) j^{-n} equals E4 exactly, and j⁻¹ times its sixth
-power equals the discriminant Delta.  They have no operator in the
-five-parameter family and compose with 1/j.
+power equals the discriminant Delta.  Both compose X6's I-series with
+1/j, the battery's one composition.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     normalize,
-    regular_shift,
 )
 
 DEFAULT_ORDER = 60
@@ -128,14 +127,26 @@ def verify_identity(
     c: Optional[int] = None,
     order: int = DEFAULT_ORDER,
 ) -> IdentityReport:
-    """Check I_s(1/H_c) = eta · H_c^{σ₁/24} for one family, exactly.
+    """Check I_s(1/H_c) = eta · H_c^{σ₁/24} for one family, exactly, through
+    the family's D3 operator and with no composition.
 
-    A family with a D3 operator is checked through that operator, with no
-    composition (see `_check_by_operator`); X6, which has none, composes
-    its shifted I-series with 1/H.  Index-2 families are routed through
-    their even-variable reduction: their own I-series is checked against
-    the index-1 partner's in t², and the identity is then checked for that
-    partner at this family's table row.
+    The regular shift is a Möbius substitution,
+    regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), so with F = normalize(I)
+    the identity reads F(T) = R for T = 1/H_{c−s} and R = rhs·(1 − s/H_c).
+    F is the solution of the family's operator L with F_0 = 1, and the
+    t^n coefficient of L g is n³·g_n plus terms in g_0 .. g_(n−1).  So
+    R = F∘T through q^K exactly when R_0 = 1 and L, written in T, kills R
+    through q^K (Zagier, "Elliptic modular forms and their applications",
+    Prop. 21, is why a weight-2 form in a Hauptmodul satisfies such an
+    ODE).  At the first q^n (n ≥ 1) where L_T R does not vanish, the two
+    sides of the identity differ by −(L_T R)_n/n³, which gives the lhs of
+    the report.  The row is also tied to the closed-form I-series:
+    normalize(I) must be the operator's solution.
+
+    Index-2 families are routed through their even-variable reduction:
+    their own I-series is checked against the index-1 partner's in t², and
+    the identity is then checked for that partner at this family's table
+    row.
     """
     fam = family(key)
     if fam.index == 2:
@@ -154,45 +165,10 @@ def verify_identity(
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     if rhs.coeffs[0] != 1:
         raise NonUnitConstant("both sides of the identity must be unit series")
-    if fam.d3_operator is not None:
-        return _check_by_operator(name, fam, s, c, h, rhs, order)
-
-    base = iseries(key, order)
-    i_series = regular_shift(base, s - base.coeffs[1])
-    lhs = i_series.compose(inverse_hauptmodul(h).truncate(order))
-    if lhs.coeffs[0] != 1:
-        raise NonUnitConstant("both sides of the identity must be unit series")
-    return _compare(name, key, s, c, order, lhs, rhs)
-
-
-def _check_by_operator(
-    name: str,
-    fam: FamilyDescriptor,
-    s: Fraction,
-    c: Fraction,
-    h: QExpansion,
-    rhs: TruncatedSeries,
-    order: int,
-) -> IdentityReport:
-    """I_s(1/H_c) = rhs through q^K, checked as an ODE with no composition.
-
-    The regular shift is a Möbius substitution,
-    regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), so with F = normalize(I)
-    the identity reads F(T) = R for T = 1/H_{c−s} and R = rhs·(1 − s/H_c).
-    F is the solution of the family's operator L with F_0 = 1, and the
-    t^n coefficient of L g is n³·g_n plus terms in g_0 .. g_(n−1).  So
-    R = F∘T through q^K exactly when R_0 = 1 and L, written in T, kills R
-    through q^K (Zagier, "Elliptic modular forms and their applications",
-    Prop. 21, is why a weight-2 form in a Hauptmodul satisfies such an
-    ODE).  At the first q^n (n ≥ 1) where L_T R does not vanish, the two
-    sides of the identity differ by −(L_T R)_n/n³, which gives the lhs of
-    the report.  The row is also tied to the closed-form I-series:
-    normalize(I) must be the operator's solution.
-    """
     op = d3.OPERATORS[fam.d3_operator]
-    if normalize(iseries(fam.key, order)) != d3.holomorphic_solution(op, order):
+    if normalize(iseries(key, order)) != d3.holomorphic_solution(op, order):
         raise PeriodMismatch(
-            f"normalized I-series of {fam.key} is not the solution of {fam.d3_operator}"
+            f"normalized I-series of {key} is not the solution of {fam.d3_operator}"
         )
     t = inverse_hauptmodul(hauptmodul(fam.hauptmodul, c - s, order))
     r = rhs * (1 - s * inverse_hauptmodul(h))
@@ -201,10 +177,10 @@ def _check_by_operator(
         raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")
     n = next((n for n, x in enumerate(residual.coeffs) if x), None)
     if n is None:
-        return IdentityReport(name, fam.key, s, c, order, True)
+        return IdentityReport(name, key, s, c, order, True)
     rhs_n = rhs.coeffs[n]
     return IdentityReport(
-        name, fam.key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
+        name, key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
     )
 
 

@@ -123,6 +123,14 @@ class TestSweep:
                            "--sweep-range", "zero-three")
         assert code == 2
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_reversed_range_is_config_error(self, capsys, json_flag):
+        # an empty range would check nothing and report a vacuous PASS
+        code, out, err = run(capsys, "sweep", "--family", "Y28",
+                             "--sweep-range", "5:2", *json_flag)
+        assert code == 2
+        assert "5:2" in err and out == ""
+
     def test_pinned_shift_family_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "Y24",
                            "--sweep-range", "0:2")
@@ -181,6 +189,11 @@ class TestFamilies:
         payload = json.loads(out)
         y28 = next(f for f in payload["families"] if f["key"] == "Y28")
         assert y28["s"] == "free" and y28["c"] == "s+1"
+
+    def test_json_names_the_x6_operator(self, capsys):
+        code, out, _ = run(capsys, "families", "--json")
+        x6 = next(f for f in json.loads(out)["families"] if f["key"] == "X6")
+        assert code == 0 and x6["d3"] == "L1"
 
 
 class TestDeterminism:

@@ -83,7 +83,7 @@ def all_fractions(f):
 
 class TestCatalog:
     def test_exact_entries(self):
-        assert set(OPERATORS) == {"L6,2", "L6,3", "L10", "L12", "L14", "L15"}
+        assert set(OPERATORS) == {"L1", "L6,2", "L6,3", "L10", "L12", "L14", "L15"}
         assert OPERATORS["L6,2"] == D3Operator(6, 368, 88, 1056, 3584)
         assert OPERATORS["L15"] == D3Operator(1, 43, 12, 78, 216)
 

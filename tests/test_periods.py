@@ -121,9 +121,15 @@ class TestPinnedOutputs:
         assert canonical_sha256(got) == PINNED_DIGESTS["gseries"]
 
     def test_catalog_solutions_to_200(self):
-        got = {key: d3.holomorphic_solution(op, 200)
-               for key, op in sorted(d3.OPERATORS.items())}
+        # the six operators the digest was recorded over; L1 is pinned below
+        keys = ["L10", "L12", "L14", "L15", "L6,2", "L6,3"]
+        got = {key: d3.holomorphic_solution(d3.OPERATORS[key], 200) for key in keys}
         assert canonical_sha256(got) == PINNED_DIGESTS["d3"]
+
+    def test_l1_solution_is_the_normalized_x6_period_to_200(self):
+        # the iseries digest above pins the right-hand side
+        assert (d3.holomorphic_solution(d3.OPERATORS["L1"], 200)
+                == normalize(iseries("X6", 200)))
 
 
 class TestISeries:

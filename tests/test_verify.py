@@ -68,7 +68,7 @@ class TestOperatorRoute:
     must equal the composition route's field for field."""
 
     @pytest.mark.parametrize("order", [30, 60])
-    @pytest.mark.parametrize("key", BATTERY_KEYS)
+    @pytest.mark.parametrize("key", BATTERY_KEYS + ["X6"])
     def test_battery_rows_match_compose_route(self, key, order):
         report = verify_identity(key, order=order)
         assert report.ok
@@ -76,14 +76,15 @@ class TestOperatorRoute:
 
     @pytest.mark.parametrize("key,s,c", [
         ("Y24", None, 7), ("Y24", 3, None), ("Y20", 1, 3), ("Y12_3", None, 13),
-        ("Y30", 5, 7), ("Y28", 2, 2),
+        ("Y30", 5, 7), ("Y28", 2, 2), ("X6", None, 745), ("X6", 121, None),
+        ("X6", 119, 743),
     ])
     def test_failing_rows_match_compose_route(self, key, s, c):
         report = verify_identity(key, s, c, 60)
         assert not report.ok
         assert report == compose_route(key, s, c, 60)
 
-    @pytest.mark.parametrize("key", ["Y24", "Y20", "Y12_2", "Y30"])
+    @pytest.mark.parametrize("key", ["Y24", "Y20", "Y12_2", "Y30", "X6"])
     @pytest.mark.parametrize("n", [7, 30])
     def test_tampered_rhs_matches_compose_route(self, monkeypatch, key, n):
         # q^30 = q^K: the residual must reach the last coefficient
@@ -97,7 +98,7 @@ class TestOperatorRoute:
             raise AssertionError("compose called")
 
         monkeypatch.setattr(TruncatedSeries, "compose", refuse)
-        assert all(verify_identity(key, order=30).ok for key in BATTERY_KEYS)
+        assert all(verify_identity(key, order=30).ok for key in BATTERY_KEYS + ["X6"])
 
     def test_period_not_solving_the_operator_raises(self, monkeypatch):
         real = verify.iseries
@@ -166,7 +167,7 @@ class TestTableRows:
 
 
 class TestMutations:
-    @pytest.mark.parametrize("key,s,c", TABLE_CONFIGS[:5])
+    @pytest.mark.parametrize("key,s,c", TABLE_CONFIGS)
     @pytest.mark.parametrize("ds,dc", [(1, 0), (-1, 0), (0, 1), (0, -1)])
     def test_single_step_mutations_fail(self, key, s, c, ds, dc):
         report = verify_identity(key, s + ds, c + dc, 15)
@@ -243,7 +244,7 @@ class TestMSeries:
         base = iseries(key, order)
         assert m == regular_shift(base, s - base.coeffs[1])
 
-    @pytest.mark.parametrize("key", ["Y30", "Y24", "Y28"])
+    @pytest.mark.parametrize("key", ["Y30", "Y24", "Y28", "X6"])
     def test_normalization_solves_d3(self, key):
         op = d3.OPERATORS[family(key).d3_operator]
         assert normalize(m_series(key, order=30)) == d3.holomorphic_solution(op, 30)
