@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .qexp import QExpansion, eta_product
 from .periods import FAMILIES
+from .series import _scaled
 
 
 class ParseError(ValueError):
@@ -370,14 +371,19 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
 
     Odd-weight shapes carry a quadratic nebentypus whose conductor the
     tables do not pin down, so only coprime multiplicativity is checked
-    for them and the recursion is reported as skipped.
+    for them and the recursion is reported as skipped.  The body is read
+    once as integer numerators over one denominator, so every comparison
+    is between ints.
     """
     eta_g = mason_eta(g, bound)
     if eta_g.offset != 1:
         raise SumNot24(f"eta-product of {g} is not a q + O(q²) cusp expansion")
 
-    def a(n: int) -> Fraction:
-        return eta_g.body.coeffs[n - 1]
+    # a(n) = A[n-1]/den: every comparison below is scaled by den to stay on ints
+    big_a, den = _scaled(eta_g.body.coeffs, bound - 1)
+
+    def a(n: int) -> int:
+        return big_a[n - 1]
 
     violations = []
     pairs = 0
@@ -386,7 +392,7 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
             if gcd(m, n) != 1:
                 continue
             pairs += 1
-            if a(m) * a(n) != a(m * n):
+            if a(m) * a(n) != den * a(m * n):
                 violations.append(f"a({m})a({n}) != a({m*n})")
 
     recursion_checks = 0
@@ -400,8 +406,8 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
             r = 1
             while p ** (r + 1) <= bound:
                 recursion_checks += 1
-                lhs = a(p ** (r + 1))
-                rhs = a(p) * a(p ** r) - p ** pw * a(p ** (r - 1))
+                lhs = den * a(p ** (r + 1))
+                rhs = a(p) * a(p ** r) - p ** pw * den * a(p ** (r - 1))
                 if lhs != rhs:
                     violations.append(f"Hecke recursion fails at p={p}, r={r}")
                 r += 1

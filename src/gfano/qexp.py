@@ -17,14 +17,17 @@ and for the eta-products/quotients attached to levels 6, 10, 12, 14, 15:
     eta_14p = η(q) η(q²) η(q⁷) η(q¹⁴)
     eta_15p = η(q) η(q³) η(q⁵) η(q¹⁵)
 
-The eta body is generated by the pentagonal-number theorem; the naive
-truncated product is kept in the test-suite as an independent oracle.
+The eta body is generated by the pentagonal-number theorem.  Any other
+eta-product or eta-quotient body comes from one integer recurrence on its
+logarithmic derivative, whose coefficients are divisor sums σ₁ weighted by
+the exponents (see `eta_product`); no series is dilated, multiplied or
+inverted on the way.  The naive truncated product is kept in the
+test-suite as an independent oracle for both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Mapping
 
 from .series import (
@@ -32,6 +35,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     _frac,
+    _terms,
 )
 
 
@@ -157,7 +161,6 @@ class QExpansion:
 # -- Dedekind eta ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _eta_body_coeffs(order: int) -> tuple:
     """Coefficients of Π (1 - q^n) by the pentagonal-number theorem.
 
@@ -187,22 +190,14 @@ def eta(order: int) -> QExpansion:
     return QExpansion(Fraction(1, 24), TruncatedSeries(_eta_body_coeffs(order), order))
 
 
-def dilate(a: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
-    """Substitute q -> q^m by index dilation with zero-fill.
-
-    The result is trusted through min(order, m·(K+1)-1): coefficients at
-    indices that are not multiples of m are exactly zero, and the first
-    unknown one sits at m·(K+1).
-    """
-    if m == 1:
-        return a.truncate(order)
-    k = min(order, m * (a.order + 1) - 1)
-    cs = [Fraction(0)] * (k + 1)
-    for n, c in enumerate(a.coeffs):
-        if n * m > k:
-            break
-        cs[n * m] = c
-    return TruncatedSeries(cs, k)
+def _sigma_table(order: int, power: int) -> list:
+    """σ_power(n) = Σ_{d|n} d^power for n = 0..order by a divisor sieve."""
+    s = [0] * (order + 1)
+    for d in range(1, order + 1):
+        dp = d ** power
+        for n in range(d, order + 1, d):
+            s[n] += dp
+    return s
 
 
 # An eta exponent map sends a cycle length i to the exponent of η(q^i);
@@ -211,16 +206,39 @@ EtaExponentMap = Mapping[int, int]
 
 
 def eta_product(exponents: EtaExponentMap, order: int) -> QExpansion:
-    """Π_i η(q^i)^{a_i} as a QExpansion with offset Σ i·a_i / 24."""
+    """Π_i η(q^i)^{a_i} as a QExpansion with offset Σ i·a_i / 24.
+
+    The body f = Π_i Π_n (1 - q^{in})^{a_i} has logarithmic derivative
+    q·f'/f = -Σ_m b_m q^m with b_m = Σ_{i | m} a_i·i·σ₁(m/i), so f_0 = 1 and
+    n·f_n = -Σ_{k=1..n} b_k·f_(n-k) (Köhler, "Eta Products and Theta Series
+    Identities", 2011).  The recurrence runs on ints; every division by n
+    is exact because the f_n are integers.
+    """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
-    body = TruncatedSeries.one(order)
-    for i, a in sorted(exponents.items()):
-        if a == 0:
-            continue
-        factor = dilate(TruncatedSeries(_eta_body_coeffs(order // i), order // i), i, order)
-        body = body * factor ** a
-    return QExpansion(Fraction(sigma1(exponents), 24), body)
+    for i, a in exponents.items():
+        if not isinstance(a, int):
+            raise TypeError(f"eta exponent {a!r} of cycle length {i} is not an int")
+        if i < 1:
+            raise SeriesError(f"cycle length {i} is not positive")
+    s1 = _sigma_table(order, 1)
+    b = [0] * (order + 1)
+    for i, a in exponents.items():
+        for m in range(1, order // i + 1):
+            b[i * m] += a * i * s1[m]
+    nz_b = _terms(b, order)
+    f = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, bk in nz_b:
+            if k > n:
+                break
+            acc += bk * f[n - k]
+        fn, rem = divmod(-acc, n)
+        if rem:
+            raise SeriesError(f"eta-product coefficient q^{n} is not an integer")
+        f.append(fn)
+    return QExpansion(Fraction(sigma1(exponents), 24), TruncatedSeries(f, order))
 
 
 def sigma1(exponents: EtaExponentMap) -> int:
@@ -246,21 +264,11 @@ ETA_PRODUCTS: Dict[str, Dict[int, int]] = {
 # -- Eisenstein E4, discriminant, Klein j ------------------------------------
 
 
-def _sigma3_table(order: int) -> list:
-    """σ₃(n) = Σ_{d|n} d³ for n = 0..order by a divisor sieve."""
-    s = [0] * (order + 1)
-    for d in range(1, order + 1):
-        cube = d * d * d
-        for n in range(d, order + 1, d):
-            s[n] += cube
-    return s
-
-
 def eisenstein_e4(order: int) -> QExpansion:
     """E4 = 1 + 240 Σ_{n≥1} σ₃(n) q^n, offset 0."""
     if order < 1:
         raise SeriesError("eisenstein_e4 needs order >= 1")
-    s3 = _sigma3_table(order)
+    s3 = _sigma_table(order, 3)
     cs = [Fraction(1)] + [Fraction(240 * s3[n]) for n in range(1, order + 1)]
     return QExpansion(0, TruncatedSeries(cs, order))
 

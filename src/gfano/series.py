@@ -8,8 +8,8 @@ operands; composition truncates to the order of the inner series.
 Equality is strict: two series are equal when they have the same order
 and the same coefficients; `agrees_to` compares a prefix explicitly.
 
-Products, reciprocals, compositions and rational powers run on one
-integer core.  A coefficient slice is scaled by the lcm of its
+Products, reciprocals, compositions, reversion and rational powers run
+on one integer core.  A coefficient slice is scaled by the lcm of its
 denominators into a list of integer numerators over one common
 denominator (`_scaled`); the loops then multiply and add Python ints
 only, and each output coefficient is built as one reduced Fraction at
@@ -23,6 +23,8 @@ the end:
               divided by D·E^M   (A = A/D of order M, inner v = v/E)
     A^(u/m)   Miller's recurrence on G_n = n!·(mD)^n·p_n (see pow_rational),
               divided by n!·(mD)^n
+    rev A     Lagrange inversion on the powers W^n of t/A = W/d (see reverse),
+              divided by n·d^n
     shift     the binomial transform below, over A = A/D and s = p/q
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
@@ -317,17 +319,23 @@ class TruncatedSeries:
         Requires valuation exactly 1.  With f = Σ_{n≥1} f_n t^n the inverse
         r satisfies f(r(t)) = t and its coefficients are
         r_n = [t^{n-1}] (t/f)^n / n.
+
+        With t/f = W/d (integer numerators W), the running power w^n is
+        kept as the int list W^n over d^n, so r_n = (W^n)_(n-1) / (n·d^n)
+        is the only Fraction built per step.
         """
         if self.coeffs[0] or self.order < 1 or not self.coeffs[1]:
             raise NotInvertible("reversion needs valuation exactly 1")
         k = self.order
         # w = t/f as a unit series of order k-1
-        w = TruncatedSeries(self.coeffs[1:], k - 1).reciprocal()
-        out = [Fraction(0), w.coeffs[0]]
-        power = w
+        w, d = _scaled(TruncatedSeries(self.coeffs[1:], k - 1).reciprocal().coeffs, k - 1)
+        nz_w = _terms(w, k - 1)
+        out = [Fraction(0), Fraction(w[0], d)]
+        power, scale = w, d
         for n in range(2, k + 1):
-            power = power * w
-            out.append(power.coeffs[n - 1] / n)
+            power = _convolve(_terms(power, k - 1), nz_w, k - 1)
+            scale *= d
+            out.append(Fraction(power[n - 1], n * scale))
         return TruncatedSeries(out, k)
 
     def pow_rational(self, e: Rational) -> "TruncatedSeries":

@@ -28,7 +28,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import d3, periods
 from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
@@ -150,16 +150,8 @@ def verify_identity(
     """
     fam = family(key)
     if fam.index == 2:
-        reduction = periods._even_substitution(key, order)
-        if not reduction.ok:
-            return IdentityReport(
-                reduction.name, key, s, c, order, False,
-                (reduction.first_mismatch, reduction.lhs, reduction.rhs),
-            )
-        base = verify_identity(EVEN_REDUCTION[key], s, c, order)
-        name = f"{key} via {EVEN_REDUCTION[key]}: {base.name}"
-        return IdentityReport(name, key, base.s, base.c, base.order,
-                              base.ok, base.first_mismatch)
+        return _even_row(key, s, c, order,
+                         lambda: verify_identity(EVEN_REDUCTION[key], s, c, order))
 
     s, c, h, rhs = _modular_side(fam, s, c, order)
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
@@ -182,6 +174,24 @@ def verify_identity(
     return IdentityReport(
         name, key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
     )
+
+
+def _even_row(
+    key: str, s, c, order: int, partner: Callable[[], IdentityReport]
+) -> IdentityReport:
+    """An index-2 row: the family's I-series against its index-1 partner's
+    in t², then `partner()`, the partner's report at this row, renamed.
+    The partner is not asked for when the reduction already fails."""
+    reduction = periods._even_substitution(key, order)
+    if not reduction.ok:
+        return IdentityReport(
+            reduction.name, key, s, c, order, False,
+            (reduction.first_mismatch, reduction.lhs, reduction.rhs),
+        )
+    base = partner()
+    name = f"{key} via {EVEN_REDUCTION[key]}: {base.name}"
+    return IdentityReport(name, key, base.s, base.c, base.order,
+                          base.ok, base.first_mismatch)
 
 
 def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
@@ -279,16 +289,28 @@ def _battery_item(task) -> IdentityReport:
 def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityReport]:
     """The full battery: six index-1 rows, two index-2 reductions, E4, Delta.
 
-    E4 and Delta are checked at min(order, CLASSICAL_MAX_ORDER).
+    E4 and Delta are checked at min(order, CLASSICAL_MAX_ORDER).  An
+    index-2 row is its even substitution plus its partner's report, which
+    the partner's own row has already computed at the same (s, c) and
+    order, so each identity is checked once.
 
-    Items are independent; with workers > 1 they run in a process pool and
-    are aggregated back in the canonical (submission) order, so the output
-    is identical either way.
+    The other items are independent; with workers > 1 they run in a
+    process pool and are aggregated back in the canonical (submission)
+    order, so the output is identical either way.
     """
-    tasks = [("identity", k, order) for k in BATTERY_KEYS]
+    keys = [k for k in BATTERY_KEYS if k not in EVEN_REDUCTION]
+    tasks = [("identity", k, order) for k in keys]
     classical = min(order, CLASSICAL_MAX_ORDER)
     tasks += [("kv", None, classical), ("delta", None, classical)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_battery_item, tasks))
-    return [_battery_item(t) for t in tasks]
+            reports = list(pool.map(_battery_item, tasks))
+    else:
+        reports = [_battery_item(t) for t in tasks]
+    rows = dict(zip(keys, reports))
+    battery = [
+        _even_row(k, None, None, order, lambda k=k: rows[EVEN_REDUCTION[k]])
+        if k in EVEN_REDUCTION else rows[k]
+        for k in BATTERY_KEYS
+    ]
+    return battery + reports[len(keys):]

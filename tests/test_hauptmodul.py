@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from test_periods import canonical_sha256
 
 from gfano import d3
 from gfano.hauptmodul import (
+    LABELS,
     InconsistentIdentity,
     NoD3Operator,
     UnknownLabel,
@@ -31,6 +33,13 @@ PRINTED_TAILS = {
 }
 
 T6A_TAIL = [79, 352, 1431, 4160, 13015, 31968]
+
+# Recorded before eta_product and reverse moved onto integers; they pin the
+# six closed-form Hauptmoduln and their mirror maps bit for bit.
+PINNED_DIGESTS = {
+    "hauptmodul_200": "920f89bcaa70ea2cfd3eb3881c43370ec7f67df5f73e968bd1893ba4b98647c8",
+    "mirror_map_60": "46540438df6e117afff604cafd201f2c71d4b4fc8ad7d8a4d7ee1161604336c5",
+}
 
 
 #: Families whose Hauptmodul the identity solver can reach: those with a D3 operator.
@@ -191,3 +200,13 @@ class TestInverseAndMirror:
     def test_wrong_offset(self):
         with pytest.raises(WrongOffset):
             inverse_hauptmodul(klein_j(5) * klein_j(5))
+
+
+class TestPinnedOutputs:
+    def test_hauptmoduln_to_200(self):
+        got = {label: hauptmodul(label, order=200) for label in LABELS}
+        assert canonical_sha256(got) == PINNED_DIGESTS["hauptmodul_200"]
+
+    def test_mirror_maps_to_60(self):
+        got = {label: mirror_map(hauptmodul(label, order=60), 60) for label in LABELS}
+        assert canonical_sha256(got) == PINNED_DIGESTS["mirror_map_60"]

@@ -1,9 +1,12 @@
 """Frame shapes, the φ ψ ε ι arithmetic, and Mason's eigenform checks."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from test_periods import canonical_sha256
 
+from gfano import mathieu
 from gfano.mathieu import (
     CORRESPONDENCE_ROWS,
     FrameShape,
@@ -27,7 +30,31 @@ from gfano.mathieu import (
     psi,
     rational_type,
 )
-from gfano.qexp import discriminant
+from gfano.qexp import QExpansion, discriminant
+from gfano.series import TruncatedSeries
+
+#: sha256 of the 28 Mason bodies at 210, recorded from the repeated-squaring
+#: eta-product before it became the σ₁ recurrence.
+MASON_DIGEST_210 = "fd6098f36c251036b30353f49856af8f95f4aa236b2edd3a6b3f5fae85b5d792"
+
+
+def fraction_hecke_violations(a, g, bound, prime_bound):
+    """The Hecke comparisons on Fraction coefficients a[1..bound]."""
+    out = []
+    for m in range(2, bound + 1):
+        for n in range(m, bound // m + 1):
+            if gcd(m, n) == 1 and a[m] * a[n] != a[m * n]:
+                out.append(f"a({m})a({n}) != a({m*n})")
+    pw = int(g.weight) - 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        if p > prime_bound or g.level % p == 0:
+            continue
+        r = 1
+        while p ** (r + 1) <= bound:
+            if a[p ** (r + 1)] != a[p] * a[p ** r] - p ** pw * a[p ** (r - 1)]:
+                out.append(f"Hecke recursion fails at p={p}, r={r}")
+            r += 1
+    return out
 
 
 class TestParsing:
@@ -198,6 +225,11 @@ class TestMasonEta:
         for g in M24_SHAPES + S24_EXTRA_SHAPES:
             assert mason_eta(g, 2).offset == 1, str(g)
 
+    def test_mason_bodies_pinned_to_210(self):
+        got = {str(g): mason_eta(g, 210) for g in M24_SHAPES + S24_EXTRA_SHAPES}
+        assert len(got) == 28
+        assert canonical_sha256(got) == MASON_DIGEST_210
+
 
 class TestHeckeChecks:
     def test_ramanujan_tau_multiplicativity(self):
@@ -224,6 +256,26 @@ class TestHeckeChecks:
     def test_all_shapes_pass_at_150(self, g):
         rep = hecke_eigenform_check(g, 150, 20)
         assert rep.ok, rep.violations
+
+    @pytest.mark.parametrize("variant", ["tau", "tau/n", "tau/n^11", "tau, a(59)=1/2"])
+    def test_integer_comparisons_match_fractions(self, monkeypatch, variant):
+        # tau(n)/n^k stays multiplicative, but the weight-12 recursion holds
+        # only for k = 0; a(59) enters no comparison below 60, so halving it
+        # only brings a denominator in.  The verdicts must be the Fraction ones.
+        g = FrameShape.parse("1^24")
+        body = list(discriminant(60).body.coeffs)
+        if variant == "tau, a(59)=1/2":
+            body[58] = F(1, 2)
+        elif variant != "tau":
+            k = 1 if variant == "tau/n" else 11
+            body = [c / (n + 1) ** k for n, c in enumerate(body)]
+        monkeypatch.setattr(mathieu, "mason_eta",
+                            lambda g, order: QExpansion(1, TruncatedSeries(body, 60)))
+        rep = hecke_eigenform_check(g, 60, 10)
+        expected = fraction_hecke_violations([None, *body], g, 60, 10)
+        assert list(rep.violations) == expected
+        assert rep.ok == (variant in ("tau", "tau, a(59)=1/2"))
+        assert rep.multiplicative_pairs > 0 and rep.recursion_checks > 0
 
 
 class TestCorrespondence:

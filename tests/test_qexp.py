@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfano.hauptmodul import _TWO_TERM
+from gfano.mathieu import M24_SHAPES, S24_EXTRA_SHAPES
 from gfano.qexp import (
     ETA_PRODUCTS,
     OffsetError,
     QExpansion,
-    dilate,
     discriminant,
     eisenstein_e4,
     eta,
@@ -18,7 +19,7 @@ from gfano.qexp import (
     klein_j,
     sigma1,
 )
-from gfano.series import TruncatedSeries
+from gfano.series import SeriesError, TruncatedSeries
 
 
 def product_oracle(order, step=1, power=1):
@@ -82,11 +83,61 @@ class TestEtaProducts:
             body = eta_product(ETA_PRODUCTS[key], 50).body
             assert all(c.denominator == 1 for c in body.coeffs), key
 
-    def test_dilation_bookkeeping(self):
-        a = TruncatedSeries([1, -1, -1], 2)
-        d = dilate(a, 5, 20)
-        assert d.order == 14  # 5*(2+1)-1: the q^15 coefficient is unknown
-        assert [int(c) for c in d.coeffs] == [1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0]
+
+def fraction_reciprocal(cs):
+    """1/A by the schoolbook recursion on Fractions."""
+    out = [1 / F(cs[0])]
+    for n in range(1, len(cs)):
+        out.append(-sum(cs[k] * out[n - k] for k in range(1, n + 1)) / cs[0])
+    return out
+
+
+def naive_eta_body(exponents, order):
+    """Π_i Π_n (1 - q^{in})^{a_i} one dilated factor at a time: the
+    product_oracle factor for a_i > 0, its Fraction reciprocal for a_i < 0,
+    multiplied in by the schoolbook convolution."""
+    acc = [1] + [0] * order
+    for i, a in sorted(exponents.items()):
+        factor = product_oracle(order, step=i, power=abs(a))
+        if a < 0:
+            factor = fraction_reciprocal(factor)
+        acc = [sum(acc[j] * factor[n - j] for j in range(n + 1)) for n in range(order + 1)]
+    return acc
+
+
+#: Every eta-product the package builds: the 28 M24/S24 frame shapes, the
+#: two-term Hauptmodul quotients, the 12A quotient and the identity products.
+ORACLE_SHAPES = {
+    **{f"shape {g}": dict(g.counts) for g in M24_SHAPES + S24_EXTRA_SHAPES},
+    **{f"quotient {label}": e for label, (e, _, _) in _TWO_TERM.items()},
+    "quotient 12A": {2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6},
+    **{f"product {key}": e for key, e in ETA_PRODUCTS.items()},
+}
+
+
+class TestEtaProductRecurrence:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
+    def test_against_naive_product(self, name):
+        exponents = ORACLE_SHAPES[name]
+        expected = naive_eta_body(exponents, 100)
+        for order in (1, 2, 5, 100):
+            got = eta_product(exponents, order)
+            assert got.offset == F(sigma1(exponents), 24)
+            assert got.body == TruncatedSeries(expected[: order + 1], order), order
+
+    def test_cycle_longer_than_the_order(self):
+        assert eta_product({1: 1, 30: 5}, 20) == eta_product({1: 1}, 20) * QExpansion(
+            F(150, 24), TruncatedSeries.one(20))
+
+    @pytest.mark.parametrize("a", [F(1, 2), F(3), 1.0])
+    def test_non_integer_exponent_is_type_error(self, a):
+        with pytest.raises(TypeError):
+            eta_product({1: 1, 2: a}, 10)
+
+    @pytest.mark.parametrize("i", [0, -2])
+    def test_cycle_length_below_one_is_series_error(self, i):
+        with pytest.raises(SeriesError):
+            eta_product({1: 1, i: 1}, 10)
 
 
 class TestEisensteinDelta:

@@ -313,6 +313,22 @@ def reverse_by_substitution(f):
     return S(r, k)
 
 
+def lagrange_reverse(f):
+    """The Lagrange loop on Fractions: r_n = [t^{n-1}] w^n / n, w = t/f,
+    with w and each power w^n built by schoolbook recursions."""
+    k = f.order
+    g = f.coeffs[1:]
+    w = [1 / g[0]]
+    for n in range(1, k):
+        w.append(-sum(g[j] * w[n - j] for j in range(1, n + 1)) / g[0])
+    out = [F(0), w[0]]
+    power = list(w)
+    for n in range(2, k + 1):
+        power = [sum(power[j] * w[m - j] for j in range(m + 1)) for m in range(k)]
+        out.append(power[n - 1] / n)
+    return S(out, k)
+
+
 class TestReverse:
     def test_identity(self):
         assert S.identity(5).reverse() == S.identity(5)
@@ -340,6 +356,22 @@ class TestReverse:
         f = S(coeffs, tail.order)
         assert lead != 0
         assert f.reverse() == reverse_by_substitution(f)
+
+    @settings(max_examples=40)
+    @given(series_strategy(1, 9), st.fractions(min_value=F(1, 7), max_value=5, max_denominator=9))
+    def test_against_fraction_lagrange_loop(self, tail, lead):
+        f = S([F(0), lead, *tail.coeffs[: tail.order]], tail.order + 1)
+        r = f.reverse()
+        assert r == lagrange_reverse(f)
+        assert f.compose(r) == S.identity(f.order)
+
+    def test_mixed_denominators(self):
+        f = series(0, F(2, 3), F(-5, 4), F(7, 6), 0, F(1, 9), F(-3, 10), 2)
+        r = f.reverse()
+        assert r == lagrange_reverse(f)
+        assert r.coeffs[1] == F(3, 2) and r.coeffs[2] == F(135, 32)
+        assert f.compose(r) == S.identity(7)
+        assert r.compose(f) == S.identity(7)
 
 
 class TestPowRational:

@@ -297,6 +297,40 @@ class TestBattery:
         pooled = verify_all(20, workers=3)
         assert pooled == sequential
 
+    def test_each_identity_checked_once(self, monkeypatch):
+        calls = []
+        real = verify.verify_identity
+
+        def counted(key, *args, **kwargs):
+            calls.append(key)
+            return real(key, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_identity", counted)
+        reports = verify_all(20)
+        assert sorted(calls) == sorted(k for k in BATTERY_KEYS if k not in EVEN_REDUCTION)
+        monkeypatch.undo()
+        for report, key in zip(reports, BATTERY_KEYS):
+            assert report == verify_identity(key, order=20)
+
+    def test_failed_reduction_in_the_battery(self, monkeypatch):
+        real = periods.iseries
+
+        def tampered(key, order):
+            a = real(key, order)
+            if key != "Y48_2":
+                return a
+            cs = list(a.coeffs)
+            cs[3] = F(2)
+            return TruncatedSeries(cs, order)
+
+        monkeypatch.setattr(periods, "iseries", tampered)
+        reports = verify_all(20)
+        y48_2 = reports[BATTERY_KEYS.index("Y48_2")]
+        assert y48_2 == verify_identity("Y48_2", order=20)
+        assert y48_2.name == "Y48_2 = Y12_2(t^2)"
+        assert y48_2.first_mismatch == (3, F(2), F(0))
+        assert [r.ok for r in reports] == [k != "Y48_2" for k in BATTERY_KEYS] + [True, True]
+
     def test_report_json_schema(self):
         report = verify_identity("Y24", order=10)
         data = report.to_json()
