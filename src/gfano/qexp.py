@@ -216,14 +216,13 @@ def eta_product(exponents: EtaExponentMap, order: int) -> QExpansion:
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
+    s1 = _sigma_table(order, 1)
+    b = [0] * (order + 1)
     for i, a in exponents.items():
         if not isinstance(a, int):
             raise TypeError(f"eta exponent {a!r} of cycle length {i} is not an int")
         if i < 1:
             raise SeriesError(f"cycle length {i} is not positive")
-    s1 = _sigma_table(order, 1)
-    b = [0] * (order + 1)
-    for i, a in exponents.items():
         for m in range(1, order // i + 1):
             b[i * m] += a * i * s1[m]
     nz_b = _terms(b, order)
