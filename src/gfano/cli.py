@@ -29,9 +29,21 @@ SCHEMA = "gfano-report/1"
 
 #: Largest accepted --order.  The exact checks cost about the cube of the
 #: order.  At order 500 on a 2-vCPU x86 VM one identity takes about 1 s
-#: (Y24) to 5 s (Y30, whose triple-sum I-series dominates), and the pooled
-#: battery about 8 s; each doubling multiplies that by six to twelve.
+#: (Y24) to 5 s (Y30, whose triple-sum I-series dominates), and the
+#: battery, pooled from POOL_MIN_ORDER up, about 8 s; each doubling
+#: multiplies that by six to twelve.
 MAX_ORDER = 1000
+
+#: Smallest --order at which `verify --family ALL` runs the battery in a
+#: process pool; below it the battery runs in process.  The work grows
+#: like the cube of the order, while the pool's import, forks and
+#: pickling cost about the same at every order, so the pool wins only
+#: once the items are long.  CLI wall time, pooled (2 workers) against in
+#: process, alternating pairs on a 2-vCPU x86 VM with Python 3.11.7: the
+#: pool won 0 of 42 pairs at order 60, 2/22 at 80, 2/22 at 100, 7/32 at
+#: 120, 16/22 at 140, 31/32 at 160 and 32/32 at 200 (medians 0.63-0.77 s
+#: against 0.86-1.13 s).
+POOL_MIN_ORDER = 160
 
 
 class SystemExit2(Exception):
@@ -44,8 +56,11 @@ def _emit(payload, as_json: bool, out: Optional[str], text_lines) -> None:
     else:
         text = "\n".join(text_lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write --out {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -68,7 +83,8 @@ def _cmd_verify(args) -> int:
         if args.order > verify.CLASSICAL_MAX_ORDER:
             print(f"note: the E4 and Delta items are capped at order "
                   f"{verify.CLASSICAL_MAX_ORDER}", file=sys.stderr)
-        reports = verify.verify_all(args.order, workers=min(4, os.cpu_count() or 1))
+        workers = min(4, os.cpu_count() or 1) if args.order >= POOL_MIN_ORDER else 1
+        reports = verify.verify_all(args.order, workers=workers)
     else:
         fam = periods.family(args.family)
         reports = [verify.verify_identity(fam.key, args.s, args.c, args.order)]
@@ -238,7 +254,7 @@ def main(argv=None) -> int:
     except (UnknownFamily, UnknownLabel) as exc:
         print(f"error: unknown family or label {exc}", file=sys.stderr)
         return 2
-    except (SystemExit2, verify.NotFreeShift) as exc:
+    except (SystemExit2, verify.NotFreeShift, periods.FreeShift) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

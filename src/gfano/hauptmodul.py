@@ -168,7 +168,12 @@ _TWO_TERM = {
 }
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by each route cache.  One battery pass fills 5 (label,
+#: order) keys and one modular pass 6, so both fit with room to spare.
+ROUTE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _eta_route(label: str, order: int) -> QExpansion:
     if label == "1A":
         return klein_j(order)
@@ -181,7 +186,7 @@ def _eta_route(label: str, order: int) -> QExpansion:
     return f + QExpansion.constant(const, order) + scale * f.reciprocal()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _identity_route(key: str, order: int) -> QExpansion:
     """Cross-check: family key's Hauptmodul solved from its D3 operator at
     the family's default (s, c)."""

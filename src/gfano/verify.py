@@ -25,9 +25,9 @@ power equals the discriminant Delta.  Both compose X6's I-series with
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from . import d3, periods
@@ -247,8 +247,10 @@ def m_series(
     return rhs.compose(mirror_map(h, order))
 
 
+@lru_cache(maxsize=4)
 def _hypergeometric_in_inverse_j(order: int) -> TruncatedSeries:
-    """Σ (6n)!/((3n)! n!³) j(q)^{-n} as a power series in q."""
+    """Σ (6n)!/((3n)! n!³) j(q)^{-n} as a power series in q.  Cached: the E4
+    and Delta items of an in-process battery share it."""
     inv_j = inverse_hauptmodul(klein_j(order)).truncate(order)
     return iseries("X6", order).compose(inv_j)
 
@@ -303,6 +305,10 @@ def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityRep
     classical = min(order, CLASSICAL_MAX_ORDER)
     tasks += [("kv", None, classical), ("delta", None, classical)]
     if workers > 1:
+        # Imported here: the pool machinery costs about 25 ms of import,
+        # which every `import gfano` would otherwise pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_battery_item, tasks))
     else:

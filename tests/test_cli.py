@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gfano import periods, verify
-from gfano.cli import MAX_ORDER, main
+from gfano.cli import MAX_ORDER, POOL_MIN_ORDER, main
 from gfano.series import TruncatedSeries
 
 
@@ -97,6 +97,25 @@ class TestVerify:
         assert f"--order {MAX_ORDER + 1} is above {MAX_ORDER}" in err
         assert "order^3" in err
 
+    @pytest.mark.parametrize("order,workers", [
+        (None, 1), (POOL_MIN_ORDER - 1, 1), (POOL_MIN_ORDER, 2),
+    ])
+    def test_battery_pools_only_from_pool_min_order(self, capsys, monkeypatch,
+                                                     order, workers):
+        asked = []
+
+        def record(order, workers=1):
+            asked.append(workers)
+            return []
+
+        monkeypatch.setattr(verify, "verify_all", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["verify", "--family", "ALL", "--json"]
+        if order is not None:
+            argv += ["--order", str(order)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and asked == [workers]
+
     def test_max_order_itself_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(periods, "iseries",
                             lambda key, order: TruncatedSeries([1], order))
@@ -151,6 +170,12 @@ class TestSeries:
                            "--kind", "normalized", "--json")
         assert code == 0
         assert json.loads(out)["coeffs"] == ["1", "0", "6", "24", "162", "1080"]
+
+    def test_gseries_of_free_shift_family_is_config_error(self, capsys):
+        code, out, err = run(capsys, "series", "--family", "Y28",
+                             "--kind", "gseries")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Y28" in err
 
     def test_text_mode(self, capsys):
         code, out, _ = run(capsys, "series", "--family", "Y20", "--order", "3")
@@ -228,3 +253,12 @@ class TestDeterminism:
                            "--json", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["reports"][0]["status"] == "PASS"
+
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify", "--family", "Y24", "--order", "5",
+                             "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: cannot write --out {target}: No such file or directory"]
+        assert not target.exists()

@@ -18,6 +18,7 @@ from gfano.hauptmodul import (
     mirror_map,
     renormalize_constant,
     solve_hauptmodul_from_identity,
+    _eta_route,
     _identity_route,
 )
 from gfano.periods import FAMILIES
@@ -210,3 +211,8 @@ class TestPinnedOutputs:
     def test_mirror_maps_to_60(self):
         got = {label: mirror_map(hauptmodul(label, order=60), 60) for label in LABELS}
         assert canonical_sha256(got) == PINNED_DIGESTS["mirror_map_60"]
+
+
+@pytest.mark.parametrize("route", [_eta_route, _identity_route])
+def test_route_caches_are_bounded(route):
+    assert route.cache_info().maxsize is not None
