@@ -190,17 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
+    def common(p, family=True, all_families=False):
         if family:
-            p.add_argument("--family", default="ALL",
-                           help="family key (X6, Y12_2, Y12_3, Y20, Y24, Y28, Y30, "
-                                "Y48_2, Y48_3) or ALL")
+            keys = "family key (X6, Y12_2, Y12_3, Y20, Y24, Y28, Y30, Y48_2, Y48_3)"
+            if all_families:
+                p.add_argument("--family", default="ALL", help=keys + " or ALL")
+            else:
+                p.add_argument("--family", required=True, help=keys)
         p.add_argument("--order", type=int, default=60, help="truncation order K")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to a file")
 
     p = sub.add_parser("verify", help="check the eta-product identities")
-    common(p)
+    common(p, all_families=True)
     p.add_argument("--s", type=int, default=None, help="shift override")
     p.add_argument("--c", type=int, default=None, help="constant-term override")
     p.set_defaults(func=_cmd_verify)

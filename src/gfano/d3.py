@@ -42,9 +42,9 @@ The parameters also come in an alternate a-basis related over Z by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .series import (
     Rational,
@@ -57,19 +57,26 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class D3Operator:
+class _Parameters(NamedTuple):
     b1: Fraction
     b2: Fraction
     b3: Fraction
     b4: Fraction
     b5: Fraction
 
-    def __init__(self, b1: Rational, b2: Rational, b3: Rational,
-                 b4: Rational, b5: Rational):
-        for name, value in zip(("b1", "b2", "b3", "b4", "b5"),
-                               (b1, b2, b3, b4, b5)):
-            object.__setattr__(self, name, _frac(value))
+
+class D3Operator(_Parameters):
+    """The operator L(b1..b5): an immutable record of five Fractions.
+
+    Ints and Fractions are accepted and stored as Fractions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b1: Rational, b2: Rational, b3: Rational,
+                b4: Rational, b5: Rational):
+        return super().__new__(cls, _frac(b1), _frac(b2), _frac(b3),
+                               _frac(b4), _frac(b5))
 
     def to_a_basis(self) -> tuple:
         """(a01, a02, a03, a11, a12) of the same operator."""

@@ -41,11 +41,10 @@ as exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .qexp import QExpansion, eta_product
 from .periods import FAMILIES
@@ -60,8 +59,11 @@ class SumNot24(ValueError):
     """Permutation frame shape whose Σ i·a_i is not 24."""
 
 
-@dataclass(frozen=True)
-class FrameShape:
+class BoundTooSmall(ValueError):
+    """A Hecke check bound below the first coprime pair 2·3."""
+
+
+class FrameShape(NamedTuple):
     """Multiset of cycle lengths with multiplicities, Σ i·a_i = 24.
 
     Negative multiplicities (eta-quotient shapes) are allowed when the
@@ -269,8 +271,7 @@ def rational_type(n: int) -> bool:
 # -- checks -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedPointEntry:
+class FixedPointEntry(NamedTuple):
     shape: str
     order: int
     fixed_points: int
@@ -329,8 +330,7 @@ def mason_eta(g: FrameShape, order: int) -> QExpansion:
     return eta_product(dict(g.counts), order)
 
 
-@dataclass(frozen=True)
-class HeckeReport:
+class HeckeReport(NamedTuple):
     shape: str
     weight: Fraction
     level: int
@@ -339,7 +339,7 @@ class HeckeReport:
     multiplicative_pairs: int
     recursion_checks: int
     character_note: Optional[str]
-    violations: Tuple[str, ...] = field(default_factory=tuple)
+    violations: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -373,8 +373,11 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
     tables do not pin down, so only coprime multiplicativity is checked
     for them and the recursion is reported as skipped.  The body is read
     once as integer numerators over one denominator, so every comparison
-    is between ints.
+    is between ints.  A bound below 6 would compare no coprime pair and
+    pass vacuously, so it is refused.
     """
+    if bound < 6:
+        raise BoundTooSmall(f"bound {bound} reaches no coprime pair; the first is 2*3 = 6")
     eta_g = mason_eta(g, bound)
     if eta_g.offset != 1:
         raise SumNot24(f"eta-product of {g} is not a q + O(q²) cusp expansion")

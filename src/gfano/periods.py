@@ -30,10 +30,10 @@ a point) is its t² coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from . import d3
 from .qexp import ETA_PRODUCTS, sigma1
@@ -61,8 +61,7 @@ class NonzeroLinearTerm(SeriesError):
     """A G-series whose linear term the shift should have cancelled."""
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     """One deformation class and its row of modular bookkeeping.
 
     shift is None for families where the shift is free (the constant then
@@ -198,8 +197,25 @@ def _closed_form_coeffs(key: str, order: int) -> list:
     raise UnknownFamily(key)
 
 
+#: Entries kept by the I-series cache, the bound of the Hauptmodul route
+#: caches.  One periods pass (order 100) and one battery pass (order 60)
+#: each fill 11 (key, order) keys.
+ISERIES_CACHE_SIZE = 16
+
+
 def iseries(key: str, order: int) -> TruncatedSeries:
-    """The I-series of the family, exact to the requested order."""
+    """The I-series of the family, exact to the requested order.
+
+    Built once per (key, order) and shared: `gseries`, the even
+    substitution and the identity rows all ask for the same series.  The
+    cache sits on `_iseries`, so that this stays a plain function, which
+    the span tracer in perfbench/spans.py rebinds.
+    """
+    return _iseries(key, order)
+
+
+@lru_cache(maxsize=ISERIES_CACHE_SIZE)
+def _iseries(key: str, order: int) -> TruncatedSeries:
     family(key)  # raises UnknownFamily
     if key in EVEN_REDUCTION:
         inner = iseries(EVEN_REDUCTION[key], order // 2)
@@ -232,8 +248,7 @@ def givental_constant(key: str) -> Fraction:
 # -- inter-family relations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     name: str
     order: int
     ok: bool

@@ -25,10 +25,9 @@ power equals the discriminant Delta.  Both compose X6's I-series with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import d3, periods
 from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
@@ -64,8 +63,7 @@ class PeriodMismatch(SeriesError):
     """A family's normalized I-series is not its D3 operator's solution."""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one exact identity check.
 
     PASS means every coefficient up to the stated order agrees exactly;

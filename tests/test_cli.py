@@ -156,6 +156,11 @@ class TestSweep:
         assert code == 2
         assert "pinned" in err
 
+    def test_missing_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--sweep-range", "0:2")
+        assert code == 2 and out == ""
+        assert "required: --family" in err
+
 
 class TestSeries:
     def test_printed_coefficients(self, capsys):
@@ -181,6 +186,11 @@ class TestSeries:
         code, out, _ = run(capsys, "series", "--family", "Y20", "--order", "3")
         assert code == 0
         assert "t^3: 164" in out
+
+    def test_missing_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "series", "--order", "3")
+        assert code == 2 and out == ""
+        assert "required: --family" in err
 
 
 class TestTables:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from test_periods import canonical_sha256
 
-from gfano import d3
+from gfano import d3, periods
 from gfano.hauptmodul import (
     LABELS,
     InconsistentIdentity,
@@ -213,6 +213,6 @@ class TestPinnedOutputs:
         assert canonical_sha256(got) == PINNED_DIGESTS["mirror_map_60"]
 
 
-@pytest.mark.parametrize("route", [_eta_route, _identity_route])
+@pytest.mark.parametrize("route", [_eta_route, _identity_route, periods._iseries])
 def test_route_caches_are_bounded(route):
     assert route.cache_info().maxsize is not None

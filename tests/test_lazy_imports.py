@@ -1,4 +1,5 @@
-"""Import cost: `import gfano` loads no process-pool machinery."""
+"""Import cost: `import gfano` loads no process-pool machinery, and no
+`dataclasses` with the `inspect` it pulls in."""
 
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-POOL_MODULES = ("concurrent.futures", "multiprocessing")
+UNNEEDED_MODULES = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
 
 
 def test_import_loads_no_pool_modules():
@@ -18,5 +19,5 @@ def test_import_loads_no_pool_modules():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    loaded = [m for m in json.loads(result.stdout) if m.startswith(POOL_MODULES)]
+    loaded = [m for m in json.loads(result.stdout) if m.startswith(UNNEEDED_MODULES)]
     assert not loaded, f"import gfano loads {loaded}"

@@ -16,6 +16,7 @@ from gfano.mathieu import (
     PRINTED_IOTA,
     S24_EXTRA_SHAPES,
     STARRED_IOTA,
+    BoundTooSmall,
     ParseError,
     SumNot24,
     correspondence_report,
@@ -250,6 +251,22 @@ class TestHeckeChecks:
         assert rep.ok
         assert rep.recursion_checks == 0
         assert rep.character_note == "character route not checked (odd weight)"
+
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_bound_below_the_first_coprime_pair_is_refused(self, bound):
+        with pytest.raises(BoundTooSmall):
+            hecke_eigenform_check(FrameShape.parse("1^24"), bound, 10)
+
+    def test_bound_6_checks_the_pair_2_3(self, monkeypatch):
+        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10)
+        assert rep.ok and rep.multiplicative_pairs == 1
+        # a(2)·a(3) = a(6) is the one product compared
+        body = list(discriminant(6).body.coeffs)
+        body[5] += 1
+        monkeypatch.setattr(mathieu, "mason_eta",
+                            lambda g, order: QExpansion(1, TruncatedSeries(body, 5)))
+        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10)
+        assert rep.violations == ("a(2)a(3) != a(6)",)
 
     @pytest.mark.parametrize("g", M24_SHAPES + S24_EXTRA_SHAPES,
                              ids=lambda g: str(g).replace(" ", ","))

@@ -1,6 +1,5 @@
 """I-series generators vs brute-force enumeration; G-series; relations."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
@@ -192,10 +191,25 @@ class TestGSeries:
 
     def test_uncancelled_linear_term_raises(self, monkeypatch):
         fam = family("Y24")
-        wrong = dataclasses.replace(fam, formula_shift=fam.formula_shift + 1)
+        wrong = fam._replace(formula_shift=fam.formula_shift + 1)
         monkeypatch.setattr(periods, "family", lambda key: wrong)
         with pytest.raises(NonzeroLinearTerm):
             gseries("Y24", 4)
+
+    def test_iseries_is_built_once_per_key_and_order(self, monkeypatch):
+        builds = []
+        build = periods._closed_form_coeffs
+
+        def counted(key, order):
+            builds.append((key, order))
+            return build(key, order)
+
+        monkeypatch.setattr(periods, "_closed_form_coeffs", counted)
+        periods._iseries.cache_clear()
+        i = iseries("Y30", 20)
+        gseries("Y30", 20)
+        assert builds == [("Y30", 20)]
+        assert iseries("Y30", 20) is i
 
     def test_free_shift_guard(self):
         with pytest.raises(FreeShift):
