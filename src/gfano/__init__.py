@@ -16,7 +16,6 @@ from .series import (
     TruncatedSeries,
     laplace,
     inverse_laplace,
-    shifted_laplace,
     regular_shift,
     normalize,
 )
@@ -85,8 +84,8 @@ from .mathieu import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruncatedSeries", "laplace", "inverse_laplace", "shifted_laplace",
-    "regular_shift", "normalize",
+    "TruncatedSeries", "laplace", "inverse_laplace", "regular_shift",
+    "normalize",
     "QExpansion", "ETA_PRODUCTS", "eta", "eta_product", "sigma1",
     "eisenstein_e4", "discriminant", "klein_j",
     "D3Operator", "OPERATORS", "from_a_basis", "apply_operator",

@@ -24,8 +24,7 @@ from . import mathieu, periods, verify
 from .hauptmodul import UnknownLabel
 from .periods import FAMILIES, UnknownFamily
 from .series import normalize
-
-SCHEMA = "gfano-report/1"
+from .verify import SCHEMA
 
 #: Largest accepted --order.  The exact checks cost about the cube of the
 #: order.  At order 500 on a 2-vCPU x86 VM one identity takes about 1 s
@@ -48,6 +47,24 @@ POOL_MIN_ORDER = 160
 
 class SystemExit2(Exception):
     """Configuration error; turned into exit code 2."""
+
+
+def _order(text: str) -> int:
+    """The --order type.  A range error is raised as SystemExit2, which
+    argparse lets through, so it is reported before any work starts and
+    in its own words rather than argparse's."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if order < 1:
+        raise SystemExit2("--order must be >= 1")
+    if order > MAX_ORDER:
+        raise SystemExit2(
+            f"--order {order} is above {MAX_ORDER}; the exact checks cost "
+            "about order^3 (the battery takes some 8 s at order 500, six to "
+            "twelve times that per doubling)")
+    return order
 
 
 def _emit(payload, as_json: bool, out: Optional[str], text_lines) -> None:
@@ -132,12 +149,14 @@ def _cmd_series(args) -> int:
 def _cmd_tables(args) -> int:
     fm = mathieu.frobenius_mukai_check()
     correspondence = mathieu.correspondence_report()
+    shape_lists = (
+        ("m23", "M23 frame shapes:", mathieu.M23_SHAPES),
+        ("m24_extra", "M24 extra frame shapes:", mathieu.M24_EXTRA_SHAPES),
+        ("s24_extra", "S24 extra eigenform shapes:", mathieu.S24_EXTRA_SHAPES),
+    )
     payload = {
         "schema": SCHEMA,
         "command": "tables",
-        "m23": [g.to_json() for g in mathieu.M23_SHAPES],
-        "m24_extra": [g.to_json() for g in mathieu.M24_EXTRA_SHAPES],
-        "s24_extra": [g.to_json() for g in mathieu.S24_EXTRA_SHAPES],
         "correspondence": correspondence,
         "frobenius_mukai": {
             "entries": [e.to_json() for e in fm["entries"]],
@@ -145,15 +164,12 @@ def _cmd_tables(args) -> int:
             "status": "PASS" if fm["ok"] else "FAIL",
         },
     }
-    lines = ["M23 frame shapes:"]
-    for g in mathieu.M23_SHAPES:
-        lines.append(f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}")
-    lines.append("M24 extra frame shapes:")
-    for g in mathieu.M24_EXTRA_SHAPES:
-        lines.append(f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}")
-    lines.append("S24 extra eigenform shapes:")
-    for g in mathieu.S24_EXTRA_SHAPES:
-        lines.append(f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}")
+    lines = []
+    for key, title, shapes in shape_lists:
+        payload[key] = [g.to_json() for g in shapes]
+        lines.append(title)
+        lines += [f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}"
+                  for g in shapes]
     lines.append("correspondence table (N, class, s, c, rho, eps, iota, rational):")
     for row in correspondence:
         star = "*" if row["iota_starred"] else " "
@@ -168,17 +184,14 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    payload = {"schema": SCHEMA, "command": "families",
-               "families": [f.to_json() for f in FAMILIES.values()]}
-    lines = []
-    for f in FAMILIES.values():
-        s = "free" if f.shift is None else f.shift
-        c = "s+1" if f.constant is None else f.constant
-        lines.append(
-            f"{f.key:6s} N={f.N:2d} deg={f.degree:2d} rho={f.rho} index={f.index} "
-            f"s={s!s:>4} c={c!s:>4} g={f.hauptmodul:3s} eta={f.eta:3s} "
-            f"exponent={f.exponent} d3={f.d3_operator or '-'}"
-        )
+    rows = [f.to_json() for f in FAMILIES.values()]
+    payload = {"schema": SCHEMA, "command": "families", "families": rows}
+    lines = [
+        f"{r['key']:6s} N={r['N']:2d} deg={r['degree']:2d} rho={r['rho']} "
+        f"index={r['index']} s={r['s']!s:>4} c={r['c']!s:>4} g={r['g']:3s} "
+        f"eta={r['eta']:3s} exponent={r['exponent']} d3={r['d3'] or '-'}"
+        for r in rows
+    ]
     _emit(payload, args.json, args.out, lines)
     return 0
 
@@ -190,19 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True, all_families=False):
-        if family:
-            keys = "family key (X6, Y12_2, Y12_3, Y20, Y24, Y28, Y30, Y48_2, Y48_3)"
-            if all_families:
-                p.add_argument("--family", default="ALL", help=keys + " or ALL")
-            else:
-                p.add_argument("--family", required=True, help=keys)
-        p.add_argument("--order", type=int, default=60, help="truncation order K")
+    keys = "family key (X6, Y12_2, Y12_3, Y20, Y24, Y28, Y30, Y48_2, Y48_3)"
+
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to a file")
 
+    def family_and_order(p, **family):
+        p.add_argument("--family", **family)
+        p.add_argument("--order", type=_order, default=60, help="truncation order K")
+        common(p)
+
     p = sub.add_parser("verify", help="check the eta-product identities")
-    common(p, all_families=True)
+    family_and_order(p, default="ALL", help=keys + " or ALL")
     p.add_argument("--s", type=int, default=None, help="shift override")
     p.add_argument("--c", type=int, default=None, help="constant-term override")
     p.set_defaults(func=_cmd_verify)
@@ -213,46 +226,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Y28, Y30).  These families have e = 1, so every s re-checks "
                     "the one identity F(1/H_1) = eta * H_1, with F the normalized "
                     "I-series.")
-    common(p)
+    family_and_order(p, required=True, help=keys)
     p.add_argument("--sweep-range", required=True, metavar="A:B",
                    help="inclusive integer shift range")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("series", help="dump a family's series")
-    common(p)
+    family_and_order(p, required=True, help=keys)
     p.add_argument("--kind", choices=("iseries", "gseries", "normalized"),
                    default="iseries")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("tables", help="frame-shape and correspondence tables")
-    common(p, family=False)
+    common(p)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("families", help="list the family registry")
-    common(p, family=False)
+    common(p)
     p.set_defaults(func=_cmd_families)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage already
-        return int(exc.code or 0)
-    order = getattr(args, "order", 1)
-    if order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
-    if order > MAX_ORDER:
-        print(f"error: --order {order} is above {MAX_ORDER}; the exact checks cost "
-              "about order^3 (the battery takes some 8 s at order 500, six to "
-              "twelve times that per doubling)", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage already, 0 after --help
+        return int(exc.code or 0)
     except (UnknownFamily, UnknownLabel) as exc:
         print(f"error: unknown family or label {exc}", file=sys.stderr)
         return 2

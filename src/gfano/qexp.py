@@ -274,7 +274,7 @@ def eisenstein_e4(order: int) -> QExpansion:
 
 def discriminant(order: int) -> QExpansion:
     """Delta = eta^24: offset 1, body Π (1-q^n)^24 = 1 - 24q + 252q² - ..."""
-    return eta(order) ** 24
+    return eta_product({1: 24}, order)
 
 
 def klein_j(order: int) -> QExpansion:

@@ -36,7 +36,6 @@ operators used throughout:
     inverse_laplace(A)    = Σ a_n / n! t^n
     regular_shift(A, s)   = laplace(exp(s t) · inverse_laplace(A))
                           = Σ_n (Σ_k C(n,k) s^(n-k) a_k) t^n
-    shifted_laplace(A, s) = laplace(exp(s t) · A) = regular_shift(laplace(A), s)
     normalize(A)          = regular_shift(A, -a_1)   (kills the linear term)
 
 regular_shift is computed as that binomial transform on the numerators,
@@ -385,11 +384,6 @@ def inverse_laplace(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(
         [c / factorial(n) for n, c in enumerate(a.coeffs)], a.order
     )
-
-
-def shifted_laplace(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
-    """laplace(exp(s t) · a)."""
-    return regular_shift(laplace(a), s)
 
 
 def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:

@@ -26,7 +26,7 @@ power equals the discriminant Delta.  Both compose X6's I-series with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import d3, periods
@@ -49,6 +49,9 @@ from .series import (
 )
 
 DEFAULT_ORDER = 60
+
+#: Schema tag of every JSON payload and report.
+SCHEMA = "gfano-report/1"
 
 #: Order at which the battery checks the E4 and Delta identities when asked
 #: for more: both compose with 1/j, which is the battery's one composition.
@@ -85,7 +88,7 @@ class IdentityReport(NamedTuple):
 
     def to_json(self) -> dict:
         data = {
-            "schema": "gfano-report/1",
+            "schema": SCHEMA,
             "identity": self.name,
             "family": self.family,
             "s": None if self.s is None else str(self.s),
@@ -187,9 +190,8 @@ def _even_row(
             (reduction.first_mismatch, reduction.lhs, reduction.rhs),
         )
     base = partner()
-    name = f"{key} via {EVEN_REDUCTION[key]}: {base.name}"
-    return IdentityReport(name, key, base.s, base.c, base.order,
-                          base.ok, base.first_mismatch)
+    return base._replace(name=f"{key} via {EVEN_REDUCTION[key]}: {base.name}",
+                         family=key)
 
 
 def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
@@ -265,7 +267,7 @@ def verify_kachru_vafa(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
 def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     """j⁻¹ · (Σ (6n)!/((3n)! n!³) j^{-n})⁶ = Delta as offset-1 expansions."""
     p = _hypergeometric_in_inverse_j(order)
-    p6 = QExpansion(0, p) ** 6
+    p6 = QExpansion(0, p.pow_rational(6))
     lhs = klein_j(order).reciprocal() * p6
     rhs = discriminant(order)
     if not lhs.offset == rhs.offset == 1:
@@ -275,15 +277,6 @@ def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
 
 
 BATTERY_KEYS = ["Y30", "Y28", "Y24", "Y20", "Y12_2", "Y12_3", "Y48_2", "Y48_3"]
-
-
-def _battery_item(task) -> IdentityReport:
-    kind, arg, order = task
-    if kind == "identity":
-        return verify_identity(arg, order=order)
-    if kind == "kv":
-        return verify_kachru_vafa(order)
-    return verify_delta(order)
 
 
 def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityReport]:
@@ -299,18 +292,19 @@ def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityRep
     order, so the output is identical either way.
     """
     keys = [k for k in BATTERY_KEYS if k not in EVEN_REDUCTION]
-    tasks = [("identity", k, order) for k in keys]
     classical = min(order, CLASSICAL_MAX_ORDER)
-    tasks += [("kv", None, classical), ("delta", None, classical)]
+    items = [partial(verify_identity, k, order=order) for k in keys]
+    items += [partial(verify_kachru_vafa, classical), partial(verify_delta, classical)]
     if workers > 1:
         # Imported here: the pool machinery costs about 25 ms of import,
         # which every `import gfano` would otherwise pay.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_battery_item, tasks))
+            futures = [pool.submit(item) for item in items]
+            reports = [f.result() for f in futures]
     else:
-        reports = [_battery_item(t) for t in tasks]
+        reports = [item() for item in items]
     rows = dict(zip(keys, reports))
     battery = [
         _even_row(k, None, None, order, lambda k=k: rows[EVEN_REDUCTION[k]])

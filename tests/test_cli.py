@@ -193,6 +193,14 @@ class TestSeries:
         assert "required: --family" in err
 
 
+@pytest.mark.parametrize("command", ["tables", "families"])
+def test_order_is_not_an_option_of(capsys, command):
+    # neither command reads an order, so neither accepts one
+    code, out, err = run(capsys, command, "--order", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --order 5" in err
+
+
 class TestTables:
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "tables", "--json")

@@ -50,6 +50,8 @@ class TestEta:
         assert d.offset == 1
         assert [int(c) for c in d.body.coeffs[:4]] == [1, -24, 252, -1472]
         assert [int(c) for c in d.body.coeffs] == product_oracle(40, power=24)
+        # discriminant() comes from the eta_product recurrence: a second route
+        assert discriminant(40) == d
 
 
 class TestEtaProducts:

@@ -17,7 +17,6 @@ from gfano.series import (
     laplace,
     normalize,
     regular_shift,
-    shifted_laplace,
 )
 
 S = TruncatedSeries
@@ -237,7 +236,8 @@ class TestBinomialShift:
     @settings(max_examples=30)
     @given(series_strategy(0, 8), shifts)
     def test_shifted_laplace_matches_exp_product(self, a, s):
-        got = shifted_laplace(a, s)
+        # laplace(exp(s t) · a) is the regular shift of laplace(a)
+        got = regular_shift(laplace(a), s)
         assert got == laplace(schoolbook_product(S.exponential(s, a.order), a))
         assert all_fractions(got)
 
@@ -468,20 +468,22 @@ class TestLaplace:
 
 
 class TestShiftedLaplace:
+    """laplace(exp(s t) · a), taken as regular_shift(laplace(a), s)."""
+
     def test_of_one(self):
-        got = shifted_laplace(S.one(5), 3)
+        got = regular_shift(laplace(S.one(5)), 3)
         assert got == S([3 ** n for n in range(6)], 5)
 
     def test_zero_shift_is_laplace(self):
         a = series(1, 2, 3, 4)
-        assert shifted_laplace(a, 0) == laplace(a)
+        assert regular_shift(laplace(a), 0) == laplace(a)
 
     def test_recovers_shifted_period(self):
         # the degree-30 family: shifting its G-series by 3 regularizes to
         # 1 + 3t + 15t^2 + 105t^3 + ...
         i15 = series(1, 3, 15, 105, 855)
         g = S.exponential(-3, 4) * inverse_laplace(i15)
-        assert shifted_laplace(g, 3) == i15
+        assert regular_shift(laplace(g), 3) == i15
 
 
 class TestRegularShiftAndNormalize:
