@@ -11,15 +11,16 @@ Moonshine", 1979); 1A is Klein's j and the others are eta-quotients:
 
 An independent cross-check solves the defining functional equation
 
-    I(1/H) = E(q) · H^e        (E the eta-product body, e = σ₁/24)
+    I(1/H) = η(q) · H^e        (η = q^e·E the eta-product, e = σ₁/24)
 
-order by order for the tail of H, where I is the regular shift of the
-normalized period F by s.  Matching the q¹ coefficients of both sides
-forces s = E₁ + e·c, so a wrong (s, c) pair is rejected at order 1; at
-every later order the new tail coefficient enters linearly with constant
-pivot e.  Run from each family's D3 operator at its default (s, c), the
-solver reproduces the closed form: Klein's j from X6's L1, the
-eta-quotient for the others (asserted in the test-suite).
+where I is the regular shift of the normalized period F by s.  Claim 3
+of the paper, w·I(w)^(1/e) = q·E(q)^(1/e) for w = 1/H, read backwards
+gives w as the compositional inverse of t·I(t)^(1/e) applied to
+q·E(q)^(1/e): one reversion and one composition.  Matching the q¹
+coefficients forces s = E₁ + e·c first, so a wrong (s, c) pair is
+rejected at order 1.  Run from each family's D3 operator at its default
+(s, c), the solver reproduces the closed form: Klein's j from X6's L1,
+the eta-quotient for the others (asserted in the test-suite).
 
 The constant term c is a free normalization: renormalizing changes
 exactly one coefficient.  Mirror maps are compositional inverses of
@@ -69,9 +70,6 @@ class InconsistentIdentity(SeriesError):
 
 LABELS = ("1A", "6A", "10A", "12A", "14A", "15A")
 
-#: Printed constant term of each Hauptmodul.
-DEFAULT_CONSTANTS = {"1A": 744, "6A": 10, "10A": 4, "12A": 6, "14A": 1, "15A": 1}
-
 
 def renormalize_constant(h: QExpansion, c: Rational) -> QExpansion:
     """Replace the q⁰ coefficient by c, leaving every other one untouched."""
@@ -104,13 +102,19 @@ def solve_hauptmodul_from_identity(
     exponent: Rational,
     order: int,
 ) -> QExpansion:
-    """Solve I(1/H) = eta · H^exponent for H = 1/q + c + Σ h_k q^k.
+    """Solve I(1/H) = eta · H^exponent for H = 1/q + c + O(q), to q^(order-1).
 
-    I is the regular shift of f_normalized by s (so I has linear
-    coefficient s).  Writing H = q⁻¹·B(q) the equation becomes an equality
-    of unit power series I(q/B) = E·B^e whose q^m coefficient determines
-    h_{m-1} linearly with pivot e.  The q¹ coefficient has no unknown and
-    must already balance: s = E₁ + e·c.
+    I is the regular shift of f_normalized by s, and eta = q^e·E with
+    e = exponent.  With w = 1/H the equation is w^e·I(w) = eta; its 1/e-th
+    power Ψ(w) = Φ(q), with Ψ(t) = t·I(t)^(1/e) and Φ(q) = q·E(q)^(1/e),
+    is claim 3 read backwards.  So w = Ψ⁻¹∘Φ and H = q⁻¹·(w/q)⁻¹.  The q¹
+    coefficients must balance first, I₁ = E₁ + e·c; they fix the q⁰
+    coefficient of H.
+
+    Ψ and Φ are taken at q ↦ λq, λ = u² for e = u/m, and coefficient n of
+    w is divided back by λ^(n-1).  Any λ gives the same H; this one keeps
+    every rescaled series integral for the table's exponents, and with it
+    the kernel's common denominators small.
     """
     e = _frac(exponent)
     if e == 0:
@@ -123,37 +127,24 @@ def solve_hauptmodul_from_identity(
         raise SeriesError("inputs must be computed at least to the requested order")
     if f_normalized.coeffs[1]:
         raise SeriesError("expected a normalized series with zero linear term")
-    s = _frac(s)
-    c = _frac(c)
 
-    i_series = regular_shift(f_normalized, s)
-    E = eta.body.coeffs
-
+    i_series = regular_shift(f_normalized.truncate(order), s)
+    E = eta.body.truncate(order)
     lhs1 = i_series.coeffs[1]
-    rhs1 = E[1] + e * c
+    rhs1 = E.coeffs[1] + e * _frac(c)
     if lhs1 != rhs1:
         raise InconsistentIdentity(1, lhs1, rhs1)
 
-    B = [Fraction(1), c]           # body of H
-    V = [Fraction(1)]              # 1/B
-    u = [Fraction(0), Fraction(1)]  # q/B
-    powers = {1: u}                # powers[r][n] = [q^n] u^r
+    lam = e.numerator ** 2
 
-    for m in range(2, order + 1):
-        V.append(-sum(B[k] * V[m - 1 - k] for k in range(1, m)))
-        u.append(V[m - 1])
-        for r in range(2, m + 1):
-            prev = powers[r - 1]
-            row = powers.setdefault(r, [Fraction(0)] * r)
-            row.append(sum(u[k] * prev[m - k] for k in range(1, m - r + 2)))
-        lhs_m = sum(i_series.coeffs[r] * powers[r][m] for r in range(1, m + 1))
-        # B^e with the provisional B_m = 0; the true B_m adds e·B_m at q^m
-        P = TruncatedSeries(B + [0], m).pow_rational(e).coeffs
-        rhs_m = sum(E[k] * P[m - k] for k in range(m + 1))
-        h = (lhs_m - rhs_m) / e
-        B.append(h)
+    def t_times_root(a: TruncatedSeries) -> TruncatedSeries:
+        """t·a(λt)^(1/e), through t^(order+1)."""
+        scaled = TruncatedSeries([x * lam**n for n, x in enumerate(a.coeffs)], order)
+        return TruncatedSeries([0, *scaled.pow_rational(1 / e).coeffs], order + 1)
 
-    return QExpansion(-1, TruncatedSeries(B, order))
+    w = t_times_root(i_series).reverse().compose(t_times_root(E))
+    w_over_q = TruncatedSeries([x / lam**n for n, x in enumerate(w.coeffs[1:])], order)
+    return QExpansion(-1, w_over_q.reciprocal())
 
 
 # -- construction routes -------------------------------------------------------
@@ -202,16 +193,14 @@ def _identity_route(key: str, order: int) -> QExpansion:
 
 
 def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QExpansion:
-    """The Hauptmodul for the label from its closed form, constant term
-    renormalized to c (default: the printed one).
+    """The Hauptmodul for the label from its closed form, which carries the
+    printed constant term; a given c replaces it.
 
     For 6A the tail 79, 352, 1431, 4160, 13015, 31968 is the printed
     McKay-Thompson expansion (asserted in the test-suite).
     """
     h = _eta_route(label, order)
-    if c is None:
-        c = DEFAULT_CONSTANTS[label]
-    return renormalize_constant(h, c)
+    return h if c is None else renormalize_constant(h, c)
 
 
 def hauptmodul_json(label: str, c: Optional[Rational] = None, order: int = 60) -> dict:

@@ -23,10 +23,12 @@ from gfano.hauptmodul import (
 )
 from gfano.periods import FAMILIES
 from gfano.qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
-from gfano.series import TruncatedSeries
+from gfano.series import NonUnitConstant, TruncatedSeries
 
 PRINTED_TAILS = {
     # constant, then the printed q^1..q^4 coefficients
+    "1A": (744, [196884, 21493760, 864299970, 20245856256]),
+    "6A": (10, [79, 352, 1431, 4160]),
     "10A": (4, [22, 56, 177, 352]),
     "12A": (6, [15, 32, 87, 192]),
     "14A": (1, [11, 20, 57, 92]),
@@ -119,6 +121,15 @@ class Test6ASolver:
         eta = eta_product(ETA_PRODUCTS["6+"], 8)
         with pytest.raises(Exception):
             solve_hauptmodul_from_identity(f, 4, 10, eta, 0, 8)
+
+    def test_non_unit_constant_rejected(self):
+        # L6,2's solution with constant term 2 balances at q^1 (I_1 = 2s = 8
+        # = E_1 + c/2), but I(1/H) would start with 2 where eta's body has 1
+        f = d3.holomorphic_solution(d3.OPERATORS["L6,2"], 8)
+        doubled = TruncatedSeries([2, *f.coeffs[1:]], 8)
+        eta = eta_product(ETA_PRODUCTS["6+"], 8)
+        with pytest.raises(NonUnitConstant):
+            solve_hauptmodul_from_identity(doubled, 4, 18, eta, eta.offset, 8)
 
     def test_deterministic(self):
         a = solve_for("Y12_2", 4, 10, 12)

@@ -31,7 +31,7 @@ from gfano.mathieu import (
     psi,
     rational_type,
 )
-from gfano.qexp import QExpansion, discriminant
+from gfano.qexp import QExpansion, discriminant, eta
 from gfano.series import TruncatedSeries
 
 #: sha256 of the 28 Mason bodies at 210, recorded from the repeated-squaring
@@ -215,7 +215,8 @@ class TestFrobeniusMukai:
 
 class TestMasonEta:
     def test_identity_shape_gives_discriminant(self):
-        assert mason_eta(FrameShape.parse("1^24"), 30) == discriminant(30)
+        # the pentagonal series to the 24th power, not eta_product again
+        assert mason_eta(FrameShape.parse("1^24"), 30) == eta(30) ** 24
 
     def test_1_8_2_8_prefix(self):
         f = mason_eta(FrameShape.parse("1^8 2^8"), 6)

@@ -242,6 +242,23 @@ class TestRelations:
         for report in reports.values():
             assert report.ok, report
 
+    def test_index2_gseries_from_their_own_geometry(self):
+        # Coates, Corti, Galkin & Kasprzyk, "Quantum periods for
+        # 3-dimensional Fano manifolds" (2016), in x = t^2: Y48_2 is the
+        # (1,1) divisor W in P^2 x P^2 and Y48_3 is P^1 x P^1 x P^1.  Unlike
+        # the even-substitution check, this does not go through Y12_2/Y12_3.
+        def w_divisor(k):
+            return sum(F(factorial(k), (factorial(a) * factorial(b)) ** 3)
+                       for a, b in compositions(k, 2))
+
+        def p1_cubed(k):
+            return sum(F(1, (factorial(a) * factorial(b) * factorial(c)) ** 2)
+                       for a, b, c in compositions(k, 3))
+
+        for key, coeff in (("Y48_2", w_divisor), ("Y48_3", p1_cubed)):
+            in_x = [0 if n % 2 else coeff(n // 2) for n in range(21)]
+            assert gseries(key, 20) == TruncatedSeries(in_x, 20), key
+
     def test_even_substitution_spot_values(self):
         even = iseries("Y48_2", 8)
         base = iseries("Y12_2", 4)
