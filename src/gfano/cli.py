@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 from . import mathieu, periods, verify
 from .hauptmodul import UnknownLabel
@@ -67,22 +67,26 @@ def _order(text: str) -> int:
     return order
 
 
-def _emit(payload, as_json: bool, out: Optional[str], text_lines) -> None:
-    if as_json:
+def _emit(args, payload: dict, text_lines: List[str]) -> None:
+    if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(text_lines) + "\n"
-    if out:
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit2(f"cannot write --out {out}: {exc.strerror or exc}")
+            raise SystemExit2(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
 
-def _report_lines(reports) -> List[str]:
+# Each _cmd_* returns (payload fields, text lines, failing lines); `main`
+# stamps the schema and command on the fields and writes them.
+
+
+def _reports(reports) -> tuple:
     lines = []
     for r in reports:
         line = f"{r.status}  {r.name}  (order {r.order})"
@@ -90,10 +94,11 @@ def _report_lines(reports) -> List[str]:
             n, lhs, rhs = r.first_mismatch
             line += f"  first mismatch at q^{n}: {lhs} != {rhs}"
         lines.append(line)
-    return lines
+    failing = [line for r, line in zip(reports, lines) if not r.ok]
+    return {"reports": [r.to_json() for r in reports]}, lines, failing
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.family == "ALL":
         if args.s is not None or args.c is not None:
             raise SystemExit2("--s/--c overrides need a single --family")
@@ -101,21 +106,12 @@ def _cmd_verify(args) -> int:
             print(f"note: the E4 and Delta items are capped at order "
                   f"{verify.CLASSICAL_MAX_ORDER}", file=sys.stderr)
         workers = min(4, os.cpu_count() or 1) if args.order >= POOL_MIN_ORDER else 1
-        reports = verify.verify_all(args.order, workers=workers)
-    else:
-        fam = periods.family(args.family)
-        reports = [verify.verify_identity(fam.key, args.s, args.c, args.order)]
-    payload = {"schema": SCHEMA, "command": "verify",
-               "reports": [r.to_json() for r in reports]}
-    _emit(payload, args.json, args.out, _report_lines(reports))
-    failing = [r for r in reports if not r.ok]
-    if failing and not args.json:
-        for line in _report_lines(failing):
-            print(line, file=sys.stderr)
-    return 1 if failing else 0
+        return _reports(verify.verify_all(args.order, workers=workers))
+    fam = periods.family(args.family)
+    return _reports([verify.verify_identity(fam.key, args.s, args.c, args.order)])
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     lo, _, hi = args.sweep_range.partition(":")
     try:
         s_range = range(int(lo), int(hi) + 1)
@@ -123,14 +119,10 @@ def _cmd_sweep(args) -> int:
         raise SystemExit2(f"bad --sweep-range {args.sweep_range!r}, expected A:B")
     if not s_range:
         raise SystemExit2(f"empty --sweep-range {args.sweep_range!r}: A must not exceed B")
-    reports = verify.sweep_free_shift(args.family, s_range, args.order)
-    payload = {"schema": SCHEMA, "command": "sweep",
-               "reports": [r.to_json() for r in reports]}
-    _emit(payload, args.json, args.out, _report_lines(reports))
-    return 1 if any(not r.ok for r in reports) else 0
+    return _reports(verify.sweep_free_shift(args.family, s_range, args.order))
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple:
     fam = periods.family(args.family)
     if args.kind == "iseries":
         series = periods.iseries(fam.key, args.order)
@@ -138,15 +130,13 @@ def _cmd_series(args) -> int:
         series = periods.gseries(fam.key, args.order)
     else:
         series = normalize(periods.iseries(fam.key, args.order))
-    payload = {"schema": SCHEMA, "command": "series", "family": fam.key,
-               "kind": args.kind, **series.to_json()}
+    fields = {"family": fam.key, "kind": args.kind, **series.to_json()}
     lines = [f"{fam.key} {args.kind} to order {args.order}:"]
     lines += [f"  t^{n}: {c}" for n, c in enumerate(series.coeffs)]
-    _emit(payload, args.json, args.out, lines)
-    return 0
+    return fields, lines, []
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple:
     fm = mathieu.frobenius_mukai_check()
     correspondence = mathieu.correspondence_report()
     shape_lists = (
@@ -154,9 +144,7 @@ def _cmd_tables(args) -> int:
         ("m24_extra", "M24 extra frame shapes:", mathieu.M24_EXTRA_SHAPES),
         ("s24_extra", "S24 extra eigenform shapes:", mathieu.S24_EXTRA_SHAPES),
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "tables",
+    fields = {
         "correspondence": correspondence,
         "frobenius_mukai": {
             "entries": [e.to_json() for e in fm["entries"]],
@@ -166,7 +154,7 @@ def _cmd_tables(args) -> int:
     }
     lines = []
     for key, title, shapes in shape_lists:
-        payload[key] = [g.to_json() for g in shapes]
+        fields[key] = [g.to_json() for g in shapes]
         lines.append(title)
         lines += [f"  {str(g):22s} order {g.order:2d}  level {g.level:3d}  weight {g.weight}"
                   for g in shapes]
@@ -179,21 +167,18 @@ def _cmd_tables(args) -> int:
             f"rho={row['rho']} eps={row['epsilon']:>4} iota={row['iota']:>4}{star}"
             f" {'rational' if row['rational_type'] else 'irrational'}{mark}"
         )
-    _emit(payload, args.json, args.out, lines)
-    return 0
+    return fields, lines, []
 
 
-def _cmd_families(args) -> int:
+def _cmd_families(args) -> tuple:
     rows = [f.to_json() for f in FAMILIES.values()]
-    payload = {"schema": SCHEMA, "command": "families", "families": rows}
     lines = [
         f"{r['key']:6s} N={r['N']:2d} deg={r['degree']:2d} rho={r['rho']} "
         f"index={r['index']} s={r['s']!s:>4} c={r['c']!s:>4} g={r['g']:3s} "
         f"eta={r['eta']:3s} exponent={r['exponent']} d3={r['d3'] or '-'}"
         for r in rows
     ]
-    _emit(payload, args.json, args.out, lines)
-    return 0
+    return {"families": rows}, lines, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        fields, lines, failing = args.func(args)
+        _emit(args, {"schema": SCHEMA, "command": args.command, **fields}, lines)
+        if failing and not args.json:
+            for line in failing:
+                print(line, file=sys.stderr)
+        return 1 if failing else 0
     except SystemExit as exc:
         # argparse exits 2 on bad usage already, 0 after --help
         return int(exc.code or 0)

@@ -95,19 +95,15 @@ def mirror_map(h: QExpansion, order: Optional[int] = None) -> TruncatedSeries:
 
 
 def solve_hauptmodul_from_identity(
-    f_normalized: TruncatedSeries,
-    s: Rational,
-    c: Rational,
-    eta: QExpansion,
-    exponent: Rational,
-    order: int,
+    f_normalized: TruncatedSeries, s: Rational, c: Rational, eta: QExpansion
 ) -> QExpansion:
-    """Solve I(1/H) = eta · H^exponent for H = 1/q + c + O(q), to q^(order-1).
+    """Solve I(1/H) = eta · H^e for H = 1/q + c + O(q), with e = σ₁/24 the
+    valuation of eta, to the order both inputs reach.
 
-    I is the regular shift of f_normalized by s, and eta = q^e·E with
-    e = exponent.  With w = 1/H the equation is w^e·I(w) = eta; its 1/e-th
-    power Ψ(w) = Φ(q), with Ψ(t) = t·I(t)^(1/e) and Φ(q) = q·E(q)^(1/e),
-    is claim 3 read backwards.  So w = Ψ⁻¹∘Φ and H = q⁻¹·(w/q)⁻¹.  The q¹
+    I is the regular shift of f_normalized by s, and eta = q^e·E.  With
+    w = 1/H the equation is w^e·I(w) = eta; its 1/e-th power
+    Ψ(w) = Φ(q), with Ψ(t) = t·I(t)^(1/e) and Φ(q) = q·E(q)^(1/e), is
+    claim 3 read backwards.  So w = Ψ⁻¹∘Φ and H = q⁻¹·(w/q)⁻¹.  The q¹
     coefficients must balance first, I₁ = E₁ + e·c; they fix the q⁰
     coefficient of H.
 
@@ -116,15 +112,10 @@ def solve_hauptmodul_from_identity(
     every rescaled series integral for the table's exponents, and with it
     the kernel's common denominators small.
     """
-    e = _frac(exponent)
+    e = eta.offset
+    order = min(f_normalized.order, eta.order)
     if e == 0:
         raise InconsistentIdentity(1, Fraction(0), Fraction(0))
-    if eta.offset != e:
-        raise SeriesError(
-            f"eta-product valuation {eta.offset} does not match exponent {e}"
-        )
-    if f_normalized.order < order or eta.order < order:
-        raise SeriesError("inputs must be computed at least to the requested order")
     if f_normalized.coeffs[1]:
         raise SeriesError("expected a normalized series with zero linear term")
 
@@ -187,9 +178,7 @@ def _identity_route(key: str, order: int) -> QExpansion:
     s = fam.default_shift()
     f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
-    return solve_hauptmodul_from_identity(
-        f, s, fam.default_constant(s), eta, eta.offset, order
-    )
+    return solve_hauptmodul_from_identity(f, s, fam.default_constant(s), eta)
 
 
 def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QExpansion:

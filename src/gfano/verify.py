@@ -104,22 +104,15 @@ class IdentityReport(NamedTuple):
         return data
 
 
-def _compare(
-    name: str,
-    key: Optional[str],
-    s,
-    c,
-    order: int,
-    lhs: TruncatedSeries,
-    rhs: TruncatedSeries,
-) -> IdentityReport:
-    k = min(order, lhs.order, rhs.order)
+def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityReport:
+    """A family-free report on lhs = rhs, through the order both sides reach."""
+    k = min(lhs.order, rhs.order)
     for n in range(k + 1):
         if lhs.coeffs[n] != rhs.coeffs[n]:
             return IdentityReport(
-                name, key, s, c, k, False, (n, lhs.coeffs[n], rhs.coeffs[n])
+                name, None, None, None, k, False, (n, lhs.coeffs[n], rhs.coeffs[n])
             )
-    return IdentityReport(name, key, s, c, k, True)
+    return IdentityReport(name, None, None, None, k, True)
 
 
 def verify_identity(
@@ -260,8 +253,7 @@ def verify_kachru_vafa(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     p = _hypergeometric_in_inverse_j(order)
     lhs = p * p
     rhs = eisenstein_e4(order).body
-    return _compare("(sum (6n)!/((3n)!n!^3) j^-n)^2 = E4", None, None, None,
-                    order, lhs, rhs)
+    return _compare("(sum (6n)!/((3n)!n!^3) j^-n)^2 = E4", lhs, rhs)
 
 
 def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
@@ -272,8 +264,8 @@ def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     rhs = discriminant(order)
     if not lhs.offset == rhs.offset == 1:
         raise OffsetError(f"offsets {lhs.offset} and {rhs.offset} must both be 1")
-    return _compare("j^-1 * (sum (6n)!/((3n)!n!^3) j^-n)^6 = Delta", None, None,
-                    None, order, lhs.body, rhs.body)
+    return _compare("j^-1 * (sum (6n)!/((3n)!n!^3) j^-n)^6 = Delta",
+                    lhs.body, rhs.body)
 
 
 BATTERY_KEYS = ["Y30", "Y28", "Y24", "Y20", "Y12_2", "Y12_3", "Y48_2", "Y48_3"]

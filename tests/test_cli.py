@@ -80,6 +80,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--family", "Y24", "--order", "0")
         assert code == 2
 
+    def test_non_integer_order_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--order", "abc")
+        assert code == 2 and out == ""
+        assert "invalid int value: 'abc'" in err
+
+    def test_overrides_on_the_battery_are_config_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "ALL", "--s", "4")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --s/--c overrides need a single --family"]
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--family", "ALL"),
         ("sweep", "--family", "Y28", "--sweep-range", "0:1"),
@@ -131,6 +141,22 @@ class TestSweep:
                            "--sweep-range", "0:3", "--order", "20")
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_failing_rows_are_listed_on_stderr(self, capsys, monkeypatch):
+        real = verify.sweep_free_shift
+
+        def one_wrong(key, s_range, order):
+            reports = real(key, s_range, order)
+            reports[1] = reports[1]._replace(ok=False, first_mismatch=(3, 1, 2))
+            return reports
+
+        monkeypatch.setattr(verify, "sweep_free_shift", one_wrong)
+        code, out, err = run(capsys, "sweep", "--family", "Y28",
+                             "--sweep-range", "0:2", "--order", "10")
+        assert code == 1
+        assert out.count("PASS") == 2
+        assert err.splitlines() == [out.splitlines()[1]]
+        assert err.startswith("FAIL") and "first mismatch at q^3: 1 != 2" in err
 
     def test_help_says_each_shift_rechecks_one_identity(self, capsys):
         code, out, _ = run(capsys, "sweep", "--help")
@@ -237,6 +263,25 @@ class TestFamilies:
         code, out, _ = run(capsys, "families", "--json")
         x6 = next(f for f in json.loads(out)["families"] if f["key"] == "X6")
         assert code == 0 and x6["d3"] == "L1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "Y24", "--order", "8"),
+    ("sweep", "--family", "Y30", "--sweep-range", "1:2", "--order", "8"),
+    ("series", "--family", "Y20", "--order", "8"),
+    ("tables",),
+    ("families",),
+], ids=lambda argv: argv[0])
+def test_every_command_writes_one_envelope(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["schema"] == "gfano-report/1"
+    assert payload["command"] == argv[0]
+    target = tmp_path / "out.json"
+    code, rerun, _ = run(capsys, *argv, "--json", "--out", str(target))
+    assert code == 0 and rerun == ""
+    assert target.read_text() == out
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from gfano.hauptmodul import (
 )
 from gfano.periods import FAMILIES
 from gfano.qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
-from gfano.series import NonUnitConstant, TruncatedSeries
+from gfano.series import NonUnitConstant, SeriesError, TruncatedSeries
 
 PRINTED_TAILS = {
     # constant, then the printed q^1..q^4 coefficients
@@ -54,7 +54,7 @@ def solve_for(key, s, c, order):
     fam = FAMILIES[key]
     f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
-    return solve_hauptmodul_from_identity(f, s, c, eta, eta.offset, order)
+    return solve_hauptmodul_from_identity(f, s, c, eta)
 
 
 def route_id(key):
@@ -117,10 +117,27 @@ class Test6ASolver:
         assert exc.value.order == 1
 
     def test_pivot_guard(self):
+        # an eta with σ₁ = 0 gives e = 0, where the 1/e-th power has no pivot
         f = d3.holomorphic_solution(d3.OPERATORS["L6,2"], 8)
         eta = eta_product(ETA_PRODUCTS["6+"], 8)
-        with pytest.raises(Exception):
-            solve_hauptmodul_from_identity(f, 4, 10, eta, 0, 8)
+        with pytest.raises(InconsistentIdentity) as exc:
+            solve_hauptmodul_from_identity(f, 4, 10, QExpansion(0, eta.body))
+        assert exc.value.order == 1
+
+    def test_linear_term_rejected(self):
+        f = d3.holomorphic_solution(d3.OPERATORS["L6,2"], 8)
+        shifted = TruncatedSeries([1, 1, *f.coeffs[2:]], 8)
+        eta = eta_product(ETA_PRODUCTS["6+"], 8)
+        with pytest.raises(SeriesError, match="zero linear term"):
+            solve_hauptmodul_from_identity(shifted, 4, 10, eta)
+
+    def test_order_is_the_shorter_input(self):
+        f = d3.holomorphic_solution(d3.OPERATORS["L6,2"], 12)
+        eta = eta_product(ETA_PRODUCTS["6+"], 12)
+        h = solve_hauptmodul_from_identity(f, 4, 10, eta.truncate(8))
+        assert h.order == 8
+        assert h == solve_hauptmodul_from_identity(f.truncate(8), 4, 10, eta.truncate(8))
+        assert h == solve_for("Y12_2", 4, 10, 8)
 
     def test_non_unit_constant_rejected(self):
         # L6,2's solution with constant term 2 balances at q^1 (I_1 = 2s = 8
@@ -129,7 +146,7 @@ class Test6ASolver:
         doubled = TruncatedSeries([2, *f.coeffs[1:]], 8)
         eta = eta_product(ETA_PRODUCTS["6+"], 8)
         with pytest.raises(NonUnitConstant):
-            solve_hauptmodul_from_identity(doubled, 4, 18, eta, eta.offset, 8)
+            solve_hauptmodul_from_identity(doubled, 4, 18, eta)
 
     def test_deterministic(self):
         a = solve_for("Y12_2", 4, 10, 12)

@@ -77,6 +77,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             FrameShape.parse("1^2 x^3")
 
+    @pytest.mark.parametrize("text,message", [
+        ("0^24", "cycle lengths must be positive"),
+        ("1^26 2^-1", "permutation shapes need non-negative multiplicities"),
+        ("", "empty frame shape"),
+    ])
+    def test_rejected_shapes(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            FrameShape.parse(text)
+
     def test_sum_not_24(self):
         with pytest.raises(SumNot24):
             FrameShape.parse("1^23")
@@ -268,6 +277,22 @@ class TestHeckeChecks:
                             lambda g, order: QExpansion(1, TruncatedSeries(body, 5)))
         rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10)
         assert rep.violations == ("a(2)a(3) != a(6)",)
+
+    def test_report_json(self, monkeypatch):
+        g = FrameShape.parse("1^4 2^2 4^4")
+        assert hecke_eigenform_check(g, 100, 10).to_json() == {
+            "shape": "1^4 2^2 4^4", "weight": "5", "level": 4, "bound": 100,
+            "prime_bound": 10, "multiplicative_pairs": 80, "recursion_checks": 0,
+            "character_note": "character route not checked (odd weight)",
+            "status": "PASS", "violations": [],
+        }
+        body = list(discriminant(6).body.coeffs)
+        body[5] += 1
+        monkeypatch.setattr(mathieu, "mason_eta",
+                            lambda g, order: QExpansion(1, TruncatedSeries(body, 5)))
+        data = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10).to_json()
+        assert data["status"] == "FAIL"
+        assert data["violations"] == ["a(2)a(3) != a(6)"]
 
     @pytest.mark.parametrize("g", M24_SHAPES + S24_EXTRA_SHAPES,
                              ids=lambda g: str(g).replace(" ", ","))

@@ -7,7 +7,7 @@ import pytest
 from gfano import d3, periods, verify
 from gfano.hauptmodul import inverse_hauptmodul
 from gfano.periods import EVEN_REDUCTION, check_even_substitution, family, iseries
-from gfano.qexp import discriminant
+from gfano.qexp import QExpansion, discriminant
 from gfano.series import SeriesError, TruncatedSeries, normalize, regular_shift
 from gfano.verify import (
     BATTERY_KEYS,
@@ -275,6 +275,30 @@ class TestClassicalIdentities:
     def test_delta_identity(self):
         report = verify_delta(40)
         assert report.ok
+
+    @staticmethod
+    def bumped(real, index):
+        """real(order) with 1 added to body coefficient index."""
+        def tampered(order):
+            x = real(order)
+            cs = list(x.body.coeffs)
+            cs[index] += 1
+            return QExpansion(x.offset, TruncatedSeries(cs, x.body.order))
+        return tampered
+
+    def test_wrong_e4_fails_only_the_e4_item(self, monkeypatch):
+        monkeypatch.setattr(verify, "eisenstein_e4", self.bumped(verify.eisenstein_e4, 7))
+        report = verify_kachru_vafa(20)
+        assert not report.ok and report.order == 20
+        assert report.first_mismatch == (7, 82560, 82561)
+        assert verify_delta(20).ok
+
+    def test_wrong_delta_fails_only_the_delta_item(self, monkeypatch):
+        monkeypatch.setattr(verify, "discriminant", self.bumped(verify.discriminant, 11))
+        report = verify_delta(20)
+        assert not report.ok and report.order == 20
+        assert report.first_mismatch == (11, -370944, -370943)
+        assert verify_kachru_vafa(20).ok
 
     def test_delta_body_against_eta_oracle(self):
         d = discriminant(6)
