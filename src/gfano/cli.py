@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    keys = "family key (X6, Y12_2, Y12_3, Y20, Y24, Y28, Y30, Y48_2, Y48_3)"
+    keys = f"family key ({', '.join(FAMILIES)})"
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")

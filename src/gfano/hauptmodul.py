@@ -175,10 +175,10 @@ def _identity_route(key: str, order: int) -> QExpansion:
     fam = periods.family(key)
     if fam.d3_operator is None:
         raise NoD3Operator(f"family {key} has no D3 operator to solve from")
-    s = fam.default_shift()
+    s = fam.default_shift(periods.iseries(key, order))
     f = d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
-    return solve_hauptmodul_from_identity(f, s, fam.default_constant(s), eta)
+    return solve_hauptmodul_from_identity(f, s, s + fam.c_minus_s, eta)
 
 
 def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QExpansion:

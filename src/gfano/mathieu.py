@@ -44,10 +44,10 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .qexp import QExpansion, eta_product
-from .periods import FAMILIES
+from .periods import FAMILIES, printed_constant
 from .series import _scaled
 
 
@@ -242,24 +242,25 @@ PRINTED_IOTA = {
 #: Entries the reference table marks with an asterisk.
 STARRED_IOTA = {10, 12}
 
-#: (N, class, s, c, rho, family key): the 16 index-1 rows; s None = free.
-CORRESPONDENCE_ROWS: List[Tuple[int, str, Optional[int], str, int, Optional[str]]] = [
-    (1, "1A", 120, "744", 1, "X6"),
-    (2, "2A", 24, "104", 1, None),
-    (3, "3A", 12, "42", 1, None),
-    (4, "4A", 8, "24", 1, None),
-    (5, "5A", 6, "16", 1, None),
-    (6, "6A", 6, "14", 3, "Y12_3"),
-    (6, "6B", 5, "12", 1, None),
-    (6, "6A", 4, "10", 2, "Y12_2"),
-    (7, "7A", 4, "9", 1, None),
-    (8, "8A", 4, "8", 1, None),
-    (9, "9A", 3, "6", 1, None),
-    (10, "10A", 2, "4", 2, "Y20"),
-    (11, "11A", None, "s+2", 1, None),
-    (12, "12A", 4, "6", 4, "Y24"),
-    (14, "14A", None, "s+1", 2, "Y28"),
-    (15, "15A", None, "s+1", 3, "Y30"),
+#: The 16 index-1 rows in printed order: a family key, whose row is read
+#: from `FAMILIES`, or (N, class, s, c − s, ρ), s None = free.
+CORRESPONDENCE_ROWS: List[Union[str, Tuple[int, str, Optional[int], int, int]]] = [
+    "X6",
+    (2, "2A", 24, 80, 1),
+    (3, "3A", 12, 30, 1),
+    (4, "4A", 8, 16, 1),
+    (5, "5A", 6, 10, 1),
+    "Y12_3",
+    (6, "6B", 5, 7, 1),
+    "Y12_2",
+    (7, "7A", 4, 5, 1),
+    (8, "8A", 4, 4, 1),
+    (9, "9A", 3, 3, 1),
+    "Y20",
+    (11, "11A", None, 2, 1),
+    "Y24",
+    "Y28",
+    "Y30",
 ]
 
 
@@ -428,13 +429,15 @@ def correspondence_report() -> List[dict]:
     for g in M24_SHAPES:
         shapes_by_order.setdefault(g.order, []).append(str(g))
     rows = []
-    for n, cls, s, c, rho, key in CORRESPONDENCE_ROWS:
-        fam = FAMILIES.get(key) if key else None
+    for entry in CORRESPONDENCE_ROWS:
+        fam = FAMILIES[entry] if isinstance(entry, str) else None
+        n, cls, s, c_minus_s, rho = entry if fam is None else (
+            fam.N, fam.hauptmodul, fam.shift, fam.c_minus_s, fam.rho)
         row = {
             "N": n,
             "class": cls,
             "s": "free" if s is None else s,
-            "c": c,
+            "c": str(printed_constant(s, c_minus_s)),
             "rho": rho,
             "epsilon": str(epsilon(n)),
             "epsilon_printed": str(PRINTED_EPSILON[n]),
@@ -444,8 +447,8 @@ def correspondence_report() -> List[dict]:
             "iota_matches": iota(n) == PRINTED_IOTA[n],
             "rational_type": rational_type(n),
             "frame_shapes": shapes_by_order.get(n, []),
-            "family": key,
-            "in_scope": key is not None,
+            "family": None if fam is None else fam.key,
+            "in_scope": fam is not None,
         }
         if fam is not None:
             row["eta"] = fam.eta

@@ -23,9 +23,12 @@ The index-2 families Y48_2 and Y48_3 are the even-variable versions of
 Y12_2 and Y12_3: I(t) of the index-1 family evaluated at t².
 
 The G-series is recovered by G = exp(-s t)·L⁻¹(I), computed as
-L⁻¹(regular_shift(I, -s)), where s is the linear coefficient of I, and
-Givental's constant (the expected number of anticanonical conics through
-a point) is its t² coefficient.
+L⁻¹(normalize(I)), where s is the linear coefficient of I, and Givental's
+constant (the expected number of anticanonical conics through a point) is
+its t² coefficient.
+
+`FAMILIES` is the one source of the correspondence-table rows that have a
+family; each stores c − s, the constant term of T = 1/H_{c−s}.
 """
 
 from __future__ import annotations
@@ -33,20 +36,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Union
 
 from . import d3
 from .qexp import ETA_PRODUCTS, sigma1
 from .series import (
-    SeriesError,
     TruncatedSeries,
     inverse_laplace,
     laplace,
-    regular_shift,
+    normalize,
 )
-
-#: Shift marker for families where any integer shift produces an identity.
-FREE = None
 
 
 class UnknownFamily(KeyError):
@@ -57,16 +56,13 @@ class FreeShift(ValueError):
     """G-series requested for a family without a pinned shift."""
 
 
-class NonzeroLinearTerm(SeriesError):
-    """A G-series whose linear term the shift should have cancelled."""
-
-
 class FamilyDescriptor(NamedTuple):
     """One deformation class and its row of modular bookkeeping.
 
-    shift is None for families where the shift is free (the constant then
-    follows the rule c = s + 1); formula_shift is the linear coefficient
-    of the I-series as generated, which is what gseries() undoes.
+    shift is the row's s, or None where every integer shift gives an
+    identity; c_minus_s is c − s, so the row's c is s + c_minus_s whether
+    s is pinned or free.  An index-2 row prints c relative to s: it is
+    verified through its partner's row (`EVEN_REDUCTION`).
     """
 
     key: str
@@ -75,8 +71,7 @@ class FamilyDescriptor(NamedTuple):
     rho: int
     index: int
     shift: Optional[int]
-    constant: Optional[int]
-    formula_shift: int
+    c_minus_s: int
     hauptmodul: str
     eta: str
     d3_operator: Optional[str]
@@ -86,16 +81,13 @@ class FamilyDescriptor(NamedTuple):
         """σ₁/24 of the attached eta-product."""
         return Fraction(sigma1(ETA_PRODUCTS[self.eta]), 24)
 
-    def default_shift(self) -> int:
-        return self.shift if self.shift is not None else self.formula_shift
-
-    def default_constant(self, s: Optional[int] = None) -> int:
-        if self.constant is not None:
-            return self.constant
-        s = self.default_shift() if s is None else s
-        return s + 1
+    def default_shift(self, i_series: TruncatedSeries) -> Fraction:
+        """The row's s: the pinned shift, or for a free shift the linear
+        coefficient of the family's I-series, `i_series`."""
+        return Fraction(i_series.coeffs[1] if self.shift is None else self.shift)
 
     def to_json(self) -> dict:
+        pinned = None if self.key in EVEN_REDUCTION else self.shift
         return {
             "key": self.key,
             "N": self.N,
@@ -103,7 +95,7 @@ class FamilyDescriptor(NamedTuple):
             "rho": self.rho,
             "index": self.index,
             "s": "free" if self.shift is None else self.shift,
-            "c": "s+1" if self.constant is None else self.constant,
+            "c": printed_constant(pinned, self.c_minus_s),
             "g": self.hauptmodul,
             "eta": self.eta,
             "exponent": str(self.exponent),
@@ -111,18 +103,23 @@ class FamilyDescriptor(NamedTuple):
         }
 
 
+def printed_constant(s: Optional[int], c_minus_s: int) -> Union[int, str]:
+    """A table's c: the number s + (c − s) for a pinned s, else "s+<c − s>"."""
+    return f"s+{c_minus_s}" if s is None else s + c_minus_s
+
+
 FAMILIES: Dict[str, FamilyDescriptor] = {
     f.key: f
     for f in [
-        FamilyDescriptor("X6", 1, 2, 1, 1, 120, 744, 120, "1A", "1+", "L1"),
-        FamilyDescriptor("Y12_2", 6, 12, 2, 1, 4, 10, 4, "6A", "6+", "L6,2"),
-        FamilyDescriptor("Y12_3", 6, 12, 3, 1, 6, 14, 6, "6A", "6+", "L6,3"),
-        FamilyDescriptor("Y20", 10, 20, 2, 1, 2, 4, 2, "10A", "10+", "L10"),
-        FamilyDescriptor("Y24", 12, 24, 4, 1, 4, 6, 4, "12A", "12+", "L12"),
-        FamilyDescriptor("Y28", 14, 28, 2, 1, FREE, None, 0, "14A", "14+", "L14"),
-        FamilyDescriptor("Y30", 15, 30, 3, 1, FREE, None, 3, "15A", "15+", "L15"),
-        FamilyDescriptor("Y48_2", 6, 48, 2, 2, 0, None, 0, "6A", "6+", None),
-        FamilyDescriptor("Y48_3", 6, 48, 3, 2, 0, None, 0, "6A", "6+", None),
+        FamilyDescriptor("X6", 1, 2, 1, 1, 120, 624, "1A", "1+", "L1"),
+        FamilyDescriptor("Y12_2", 6, 12, 2, 1, 4, 6, "6A", "6+", "L6,2"),
+        FamilyDescriptor("Y12_3", 6, 12, 3, 1, 6, 8, "6A", "6+", "L6,3"),
+        FamilyDescriptor("Y20", 10, 20, 2, 1, 2, 2, "10A", "10+", "L10"),
+        FamilyDescriptor("Y24", 12, 24, 4, 1, 4, 2, "12A", "12+", "L12"),
+        FamilyDescriptor("Y28", 14, 28, 2, 1, None, 1, "14A", "14+", "L14"),
+        FamilyDescriptor("Y30", 15, 30, 3, 1, None, 1, "15A", "15+", "L15"),
+        FamilyDescriptor("Y48_2", 6, 48, 2, 2, 0, 1, "6A", "6+", None),
+        FamilyDescriptor("Y48_3", 6, 48, 3, 2, 0, 1, "6A", "6+", None),
     ]
 }
 
@@ -229,15 +226,11 @@ def _iseries(key: str, order: int) -> TruncatedSeries:
 
 
 def gseries(key: str, order: int) -> TruncatedSeries:
-    """G = exp(-s t) · L⁻¹(I) = L⁻¹(regular_shift(I, -s)); constant term 1
-    and zero linear term."""
-    fam = family(key)
-    if fam.key == "Y28":
+    """G = exp(-s t) · L⁻¹(I) = L⁻¹(normalize(I)), s the linear coefficient
+    of I; constant term 1 and zero linear term."""
+    if key == "Y28":
         raise FreeShift("Y28 has no pinned shift; its I-series is defined directly")
-    g = inverse_laplace(regular_shift(iseries(key, order), -fam.formula_shift))
-    if g.order >= 1 and g.coeffs[1]:
-        raise NonzeroLinearTerm(f"G-series of {key} has linear term {g.coeffs[1]}")
-    return g
+    return inverse_laplace(normalize(iseries(key, order)))
 
 
 def givental_constant(key: str) -> Fraction:

@@ -9,8 +9,9 @@ constant term.  This is exactly what is needed for
     E4(q)    = 1 + 240 Σ σ₃(n) q^n
     j(q)     = E4^3 / Delta = 1/q + 744 + 196884 q + ...
 
-and for the eta-products/quotients attached to levels 6, 10, 12, 14, 15:
+and for the eta-products/quotients attached to levels 1, 6, 10, 12, 14, 15:
 
+    eta_1p  = η(q)⁴
     eta_6p  = η(q) η(q²) η(q³) η(q⁶)
     eta_10p = η(q) η(q²) η(q⁵) η(q¹⁰)
     eta_12p = η(q²)⁴ η(q⁶)⁴ / (η(q) η(q³) η(q⁴) η(q¹²))
@@ -244,8 +245,8 @@ def sigma1(exponents: EtaExponentMap) -> int:
     """24 times the valuation of the eta-product: Σ i·a_i.
 
     Taken with the positive sign, which is the one matching every exponent
-    that actually multiplies a Hauptmodul in the identities (1/2, 3/4, 1/2,
-    1, 1 for levels 6, 10, 12, 14, 15).
+    that actually multiplies a Hauptmodul in the identities (1/6, 1/2, 3/4,
+    1/2, 1, 1 for levels 1, 6, 10, 12, 14, 15).
     """
     return sum(i * a for i, a in exponents.items())
 

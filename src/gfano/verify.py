@@ -143,16 +143,17 @@ def verify_identity(
     row.
     """
     fam = family(key)
-    if fam.index == 2:
+    if key in EVEN_REDUCTION:
         return _even_row(key, s, c, order,
                          lambda: verify_identity(EVEN_REDUCTION[key], s, c, order))
 
-    s, c, h, rhs = _modular_side(fam, s, c, order)
+    i_series = iseries(key, order)
+    s, c, h, rhs = _modular_side(fam, s, c, order, i_series)
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     if rhs.coeffs[0] != 1:
         raise NonUnitConstant("both sides of the identity must be unit series")
     op = d3.OPERATORS[fam.d3_operator]
-    if normalize(iseries(key, order)) != d3.holomorphic_solution(op, order):
+    if normalize(i_series) != d3.holomorphic_solution(op, order):
         raise PeriodMismatch(
             f"normalized I-series of {key} is not the solution of {fam.d3_operator}"
         )
@@ -187,14 +188,11 @@ def _even_row(
                          family=key)
 
 
-def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
-    """(s, c) defaulted from the family row, H_c, and eta·H_c^{σ₁/24} as a
-    unit power series (the q-offsets cancel)."""
-    if s is None:
-        s = fam.default_shift()
-    if c is None:
-        c = fam.default_constant(s)
-    s, c = Fraction(s), Fraction(c)
+def _modular_side(fam: FamilyDescriptor, s, c, order: int, i_series) -> tuple:
+    """(s, c) defaulted from the family row and its I-series, H_c, and
+    eta·H_c^{σ₁/24} as a unit power series (the q-offsets cancel)."""
+    s = fam.default_shift(i_series) if s is None else Fraction(s)
+    c = s + fam.c_minus_s if c is None else Fraction(c)
     h = hauptmodul(fam.hauptmodul, c, order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
     h_pow = h.pow_rational(fam.exponent)
@@ -206,7 +204,8 @@ def _modular_side(fam: FamilyDescriptor, s, c, order: int) -> tuple:
 def sweep_free_shift(
     key: str, s_range, order: int = DEFAULT_ORDER
 ) -> List[IdentityReport]:
-    """Verify the family of identities with c = s + 1 over a shift range.
+    """Verify the identities with c − s from the family's row (1 for Y28
+    and Y30) over a shift range.
 
     Only meaningful for families with a free shift (Y28, Y30), where the
     difference c - s is the invariant; for pinned-shift families every
@@ -214,7 +213,7 @@ def sweep_free_shift(
     """
     if family(key).shift is not None:
         raise NotFreeShift(f"{key} has a pinned shift; sweep applies to Y28, Y30")
-    return [verify_identity(key, s, s + 1, order) for s in s_range]
+    return [verify_identity(key, s, order=order) for s in s_range]
 
 
 def m_series(
@@ -234,9 +233,9 @@ def m_series(
     computed without reference to the other.
     """
     fam = family(key)
-    if fam.index == 2:
+    if key in EVEN_REDUCTION:
         raise ValueError("index-2 families reduce to their index-1 partners")
-    _, _, h, rhs = _modular_side(fam, s, c, order)
+    _, _, h, rhs = _modular_side(fam, s, c, order, iseries(key, order))
     return rhs.compose(mirror_map(h, order))
 
 

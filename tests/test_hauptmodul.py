@@ -21,7 +21,7 @@ from gfano.hauptmodul import (
     _eta_route,
     _identity_route,
 )
-from gfano.periods import FAMILIES
+from gfano.periods import FAMILIES, iseries
 from gfano.qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
 from gfano.series import NonUnitConstant, SeriesError, TruncatedSeries
 
@@ -60,15 +60,16 @@ def solve_for(key, s, c, order):
 def route_id(key):
     """label-operator-s-c of the route check for family key."""
     fam = FAMILIES[key]
-    s = fam.default_shift()
-    return f"{fam.hauptmodul}-{fam.d3_operator}-{s}-{fam.default_constant(s)}"
+    s = fam.default_shift(iseries(key, 1))
+    return f"{fam.hauptmodul}-{fam.d3_operator}-{s}-{s + fam.c_minus_s}"
 
 
 def route_agreement(key, order):
     """The eta-quotient Hauptmodul and the one solved from family key's
     identity at its default (s, c): same offset, order and coefficients."""
     fam = FAMILIES[key]
-    quotient = hauptmodul(fam.hauptmodul, fam.default_constant(), order)
+    s = fam.default_shift(iseries(key, order))
+    quotient = hauptmodul(fam.hauptmodul, s + fam.c_minus_s, order)
     solved = _identity_route(key, order)
     return (quotient.offset == solved.offset
             and quotient.order == solved.order == order

@@ -10,9 +10,9 @@ import pytest
 
 from gfano import d3, periods
 from gfano.periods import (
+    EVEN_REDUCTION,
     FAMILIES,
     FreeShift,
-    NonzeroLinearTerm,
     UnknownFamily,
     check_even_substitution,
     check_exp_relation,
@@ -181,20 +181,13 @@ class TestGSeries:
 
     def test_laplace_roundtrip(self):
         for key in ("Y30", "Y24", "X6"):
-            fam = family(key)
             g = gseries(key, 12)
-            shifted = laplace(TruncatedSeries.exponential(fam.formula_shift, 12) * g)
+            s = iseries(key, 12).coeffs[1]
+            shifted = laplace(TruncatedSeries.exponential(s, 12) * g)
             assert shifted == iseries(key, 12)
 
     def test_y24_conic_count(self):
         assert gseries("Y24", 4).coeffs[2] == 6
-
-    def test_uncancelled_linear_term_raises(self, monkeypatch):
-        fam = family("Y24")
-        wrong = fam._replace(formula_shift=fam.formula_shift + 1)
-        monkeypatch.setattr(periods, "family", lambda key: wrong)
-        with pytest.raises(NonzeroLinearTerm):
-            gseries("Y24", 4)
 
     def test_iseries_is_built_once_per_key_and_order(self, monkeypatch):
         builds = []
@@ -311,28 +304,49 @@ class TestRelations:
 class TestRegistry:
     def test_scope_rows(self):
         rows = {
-            (f.N, f.shift, f.constant, f.hauptmodul, f.rho)
+            (f.N, f.shift, f.c_minus_s, f.hauptmodul, f.rho)
             for f in FAMILIES.values()
             if f.index == 1
         }
         assert rows == {
-            (1, 120, 744, "1A", 1),
-            (6, 6, 14, "6A", 3),
-            (6, 4, 10, "6A", 2),
-            (10, 2, 4, "10A", 2),
-            (12, 4, 6, "12A", 4),
-            (14, None, None, "14A", 2),
-            (15, None, None, "15A", 3),
+            (1, 120, 624, "1A", 1),
+            (6, 6, 8, "6A", 3),
+            (6, 4, 6, "6A", 2),
+            (10, 2, 2, "10A", 2),
+            (12, 4, 2, "12A", 4),
+            (14, None, 1, "14A", 2),
+            (15, None, 1, "15A", 3),
         }
 
     def test_index2_families(self):
         assert family("Y48_2").index == 2 and family("Y48_2").degree == 48
         assert family("Y48_3").rho == 3
 
+    def test_index2_is_the_even_reduction(self):
+        # the registry prints `index`, the code branches on EVEN_REDUCTION
+        assert {k for k, f in FAMILIES.items() if f.index == 2} == set(EVEN_REDUCTION)
+
     def test_free_shift_constant_rule(self):
         fam = family("Y28")
-        assert fam.default_constant(2) == 3
-        assert family("Y30").default_shift() == 3
+        assert fam.c_minus_s == 1
+        assert fam.default_shift(iseries("Y28", 1)) == 0
+        assert family("Y30").default_shift(iseries("Y30", 1)) == 3
+
+    @pytest.mark.parametrize(
+        "key", [k for k, f in FAMILIES.items() if f.d3_operator]
+    )
+    def test_c_minus_s_is_the_operator_b1(self, key):
+        # c − s is the constant term of T = 1/H_{c−s}; the operator's b1,
+        # not stored with the row, must agree
+        fam = family(key)
+        assert fam.c_minus_s == d3.OPERATORS[fam.d3_operator].b1
+
+    @pytest.mark.parametrize(
+        "key", [k for k, f in FAMILIES.items()
+                if f.index == 1 and f.shift is not None]
+    )
+    def test_pinned_shift_is_the_iseries_linear_coefficient(self, key):
+        assert iseries(key, 1).coeffs[1] == family(key).shift
 
     def test_exponents(self):
         assert family("X6").exponent == F(1, 6)

@@ -22,7 +22,7 @@ from gfano.verify import IdentityReport, verify_identity
 MAKERS = {
     D3Operator: lambda: D3Operator(6, 368, 88, 1056, 3584),
     FamilyDescriptor: lambda: FamilyDescriptor(
-        "Y30", 15, 30, 3, 1, None, None, 3, "15A", "15+", "L15"),
+        "Y30", 15, 30, 3, 1, None, 1, "15A", "15+", "L15"),
     RelationReport: lambda: _even_substitution("Y48_2", 6),
     IdentityReport: lambda: verify_identity("Y24", 4, 7, 6),
     FrameShape: lambda: FrameShape.parse("1^2 2^2 3^2 6^2"),
@@ -36,8 +36,8 @@ BY_TYPE = pytest.mark.parametrize("cls,make", MAKERS.items(), ids=IDS)
 #: Field order, which positional construction and unpacking rely on.
 FIELDS = {
     D3Operator: "b1 b2 b3 b4 b5",
-    FamilyDescriptor: "key N degree rho index shift constant formula_shift "
-                      "hauptmodul eta d3_operator",
+    FamilyDescriptor: "key N degree rho index shift c_minus_s hauptmodul eta "
+                      "d3_operator",
     RelationReport: "name order ok first_mismatch lhs rhs",
     IdentityReport: "name family s c order ok first_mismatch",
     FrameShape: "counts",

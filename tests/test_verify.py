@@ -37,12 +37,12 @@ def compose_route(key, s=None, c=None, order=60):
     route: I_s composed with 1/H_c, against eta·H_c^e, coefficient by
     coefficient."""
     fam = family(key)
-    if fam.index == 2:
+    if key in EVEN_REDUCTION:
         base = compose_route(EVEN_REDUCTION[key], s, c, order)
         return IdentityReport(f"{key} via {EVEN_REDUCTION[key]}: {base.name}", key,
                               base.s, base.c, base.order, base.ok, base.first_mismatch)
-    s, c, h, rhs = verify._modular_side(fam, s, c, order)
     base = iseries(key, order)
+    s, c, h, rhs = verify._modular_side(fam, s, c, order, base)
     lhs = regular_shift(base, s - base.coeffs[1]).compose(inverse_hauptmodul(h).truncate(order))
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     bad = next((n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
@@ -195,7 +195,7 @@ class TestMutations:
         bumped[bump_index] += 1
         i_series = TruncatedSeries(bumped, order)
 
-        h = hauptmodul(fam.hauptmodul, fam.constant, order)
+        h = hauptmodul(fam.hauptmodul, fam.shift + fam.c_minus_s, order)
         lhs = i_series.compose(inverse_hauptmodul(h).truncate(order))
         eta = eta_product(ETA_PRODUCTS[fam.eta], order)
         rhs = eta.body * h.pow_rational(fam.exponent).body
