@@ -10,94 +10,66 @@ coefficient-by-coefficient verification that
 
 holds for every higher-rank G-Fano family, specializing to the classical
 E4 and Delta identities for the sextic double solid.
+
+`import gfano` loads no submodule.  A public name imports its submodule
+on first access (PEP 562), so a process pays only for the modules it
+uses; `from gfano import *` loads them all.
 """
 
-from .series import (
-    TruncatedSeries,
-    laplace,
-    inverse_laplace,
-    regular_shift,
-    normalize,
-)
-from .qexp import (
-    QExpansion,
-    ETA_PRODUCTS,
-    eta,
-    eta_product,
-    sigma1,
-    eisenstein_e4,
-    discriminant,
-    klein_j,
-)
-from .d3 import (
-    D3Operator,
-    OPERATORS,
-    from_a_basis,
-    apply_operator,
-    apply_operator_in,
-    holomorphic_solution,
-)
-from .periods import (
-    FAMILIES,
-    FamilyDescriptor,
-    family,
-    iseries,
-    gseries,
-    givental_constant,
-    check_even_substitution,
-    check_exp_relation,
-)
-from .hauptmodul import (
-    hauptmodul,
-    hauptmodul_json,
-    renormalize_constant,
-    inverse_hauptmodul,
-    mirror_map,
-    solve_hauptmodul_from_identity,
-)
-from .verify import (
-    IdentityReport,
-    m_series,
-    verify_identity,
-    sweep_free_shift,
-    verify_kachru_vafa,
-    verify_delta,
-    verify_all,
-)
-from .mathieu import (
-    FrameShape,
-    M23_SHAPES,
-    M24_EXTRA_SHAPES,
-    M24_SHAPES,
-    S24_EXTRA_SHAPES,
-    phi,
-    psi,
-    epsilon,
-    iota,
-    rational_type,
-    frobenius_mukai_check,
-    mason_eta,
-    hecke_eigenform_check,
-    correspondence_report,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncatedSeries", "laplace", "inverse_laplace", "regular_shift",
-    "normalize",
-    "QExpansion", "ETA_PRODUCTS", "eta", "eta_product", "sigma1",
-    "eisenstein_e4", "discriminant", "klein_j",
-    "D3Operator", "OPERATORS", "from_a_basis", "apply_operator",
-    "apply_operator_in", "holomorphic_solution",
-    "FAMILIES", "FamilyDescriptor", "family", "iseries", "gseries",
-    "givental_constant", "check_even_substitution", "check_exp_relation",
-    "hauptmodul", "hauptmodul_json", "renormalize_constant",
-    "inverse_hauptmodul", "mirror_map", "solve_hauptmodul_from_identity",
-    "IdentityReport", "m_series", "verify_identity", "sweep_free_shift",
-    "verify_kachru_vafa", "verify_delta", "verify_all",
-    "FrameShape", "M23_SHAPES", "M24_EXTRA_SHAPES", "M24_SHAPES",
-    "S24_EXTRA_SHAPES", "phi", "psi", "epsilon", "iota", "rational_type",
-    "frobenius_mukai_check", "mason_eta", "hecke_eigenform_check",
-    "correspondence_report",
-]
+#: Each public name, mapped to the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in [
+        ("series", "TruncatedSeries laplace inverse_laplace regular_shift normalize"),
+        ("qexp", "QExpansion ETA_PRODUCTS eta eta_product sigma1 eisenstein_e4 "
+                 "discriminant klein_j"),
+        ("d3", "D3Operator OPERATORS from_a_basis apply_operator apply_operator_in "
+               "holomorphic_solution"),
+        ("periods", "FAMILIES FamilyDescriptor family iseries gseries givental_constant "
+                    "check_even_substitution check_exp_relation"),
+        ("hauptmodul", "hauptmodul hauptmodul_json renormalize_constant inverse_hauptmodul "
+                       "mirror_map solve_hauptmodul_from_identity"),
+        ("verify", "IdentityReport m_series verify_identity sweep_free_shift "
+                   "verify_kachru_vafa verify_delta verify_all"),
+        ("mathieu", "FrameShape M23_SHAPES M24_EXTRA_SHAPES M24_SHAPES S24_EXTRA_SHAPES "
+                    "phi psi epsilon iota rational_type frobenius_mukai_check mason_eta "
+                    "hecke_eigenform_check correspondence_report"),
+    ]
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(ModuleType):
+    """The package's module type.  Loading a submodule binds it on the
+    package under its own name; for `hauptmodul` that name is the public
+    function, which must stay what `gfano.hauptmodul` returns."""
+
+    def __setattr__(self, name, value):
+        if name in _EXPORTS and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

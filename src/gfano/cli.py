@@ -20,7 +20,7 @@ import os
 import sys
 from typing import List
 
-from . import mathieu, periods, verify
+from . import periods, verify
 from .hauptmodul import UnknownLabel
 from .periods import FAMILIES, UnknownFamily
 from .series import normalize
@@ -137,6 +137,10 @@ def _cmd_series(args) -> tuple:
 
 
 def _cmd_tables(args) -> tuple:
+    # Imported here: only `tables` reads the Mathieu tables, so the other
+    # commands neither compile nor run the module.
+    from . import mathieu
+
     fm = mathieu.frobenius_mukai_check()
     correspondence = mathieu.correspondence_report()
     shape_lists = (

@@ -264,7 +264,11 @@ class RelationReport(NamedTuple):
 
 def _even_substitution(key2: str, order: int) -> RelationReport:
     """One index-2 I-series against its index-1 partner in t², by
-    re-indexing: even coefficients equal the partner's, odd ones vanish."""
+    re-indexing: even coefficients equal the partner's, odd ones vanish.
+
+    Vacuous for now: `_iseries` builds the index-2 series by this very
+    re-indexing of the partner's series, so the check cannot fail until
+    Y48 gets an I-series generator of its own."""
     key1 = EVEN_REDUCTION[key2]
     even = iseries(key2, order).coeffs
     base = iseries(key1, order // 2).coeffs
@@ -279,7 +283,11 @@ def _even_substitution(key2: str, order: int) -> RelationReport:
 
 
 def check_even_substitution(order: int) -> dict:
-    """Index-2 I-series equal their index-1 partners in t², coefficientwise."""
+    """Index-2 I-series equal their index-1 partners in t², coefficientwise.
+
+    The index-2 I-series are built by re-indexing their partners' series,
+    so this cannot fail until Y48 gets its own I-series generator; see
+    `_even_substitution`."""
     return {key2: _even_substitution(key2, order) for key2 in sorted(EVEN_REDUCTION)}
 
 

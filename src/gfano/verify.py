@@ -204,15 +204,17 @@ def _modular_side(fam: FamilyDescriptor, s, c, order: int, i_series) -> tuple:
 def sweep_free_shift(
     key: str, s_range, order: int = DEFAULT_ORDER
 ) -> List[IdentityReport]:
-    """Verify the identities with c − s from the family's row (1 for Y28
-    and Y30) over a shift range.
+    """Verify the identities over a shift range, with c − s read from the
+    family's row.
 
-    Only meaningful for families with a free shift (Y28, Y30), where the
-    difference c - s is the invariant; for pinned-shift families every
-    off-table shift fails by construction, so they are rejected up front.
+    Only meaningful for the families whose row in `periods.FAMILIES`
+    leaves the shift free (shift None), where the difference c − s is the
+    invariant; for pinned-shift families every off-table shift fails by
+    construction, so they are rejected up front, with the free ones named.
     """
     if family(key).shift is not None:
-        raise NotFreeShift(f"{key} has a pinned shift; sweep applies to Y28, Y30")
+        free = ", ".join(k for k, f in periods.FAMILIES.items() if f.shift is None)
+        raise NotFreeShift(f"{key} has a pinned shift; sweep applies to {free}")
     return [verify_identity(key, s, order=order) for s in s_range]
 
 

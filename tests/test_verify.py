@@ -222,8 +222,13 @@ class TestFreeShiftSweeps:
         assert iseries("Y30", 1).coeffs[1] == 3
         assert verify_identity("Y30", 3, 4, 25).ok
 
-    def test_sweep_rejects_pinned_shift_families(self):
-        with pytest.raises(NotFreeShift):
+    def test_sweep_rejects_pinned_shift_families(self, monkeypatch):
+        with pytest.raises(NotFreeShift, match=r"Y24 has a pinned shift; sweep applies to Y28, Y30$"):
+            sweep_free_shift("Y24", range(0, 2), 10)
+        # the free-shift families named are the registry's rows with shift None
+        monkeypatch.setitem(periods.FAMILIES, "Y22",
+                            periods.FAMILIES["Y28"]._replace(key="Y22"))
+        with pytest.raises(NotFreeShift, match=r"sweep applies to Y28, Y30, Y22$"):
             sweep_free_shift("Y24", range(0, 2), 10)
 
 
