@@ -12,7 +12,6 @@ from gfano import (
     FAMILIES,
     OPERATORS,
     apply_operator,
-    check_even_substitution,
     check_exp_relation,
     givental_constant,
     gseries,
@@ -44,10 +43,8 @@ print("  (Y28 exposes no pinned shift; its I-series is the L14 solution)")
 
 print()
 print("inter-family relations:")
-for report in check_even_substitution(30).values():
-    print(f"  {report.name}: {'PASS' if report.ok else 'FAIL'}")
 r = check_exp_relation(30)
-print(f"  {r.name}: {'PASS' if r.ok else 'FAIL'}")
+print(f"  {r.name}: {r.status}")
 print("  G-series of the two degree-48 families:",
       [str(c) for c in gseries('Y48_2', 6).coeffs],
       [str(c) for c in gseries('Y48_3', 6).coeffs])

@@ -2,7 +2,7 @@
 
     gfano verify   --family Y24 --order 60          exit 0 iff PASS
     gfano verify   --family ALL --json              the full identity battery
-    gfano sweep    --family Y28 --sweep-range 0:3   free-shift sweep, c = s+1
+    gfano sweep    --family Y28 --sweep-range 0:3   free-shift sweep, c - s from the row
     gfano series   --family Y30 --order 10 --json   I-series coefficients
     gfano tables                                    M23/M24/S24 + correspondence
     gfano families                                  the family registry
@@ -210,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "sweep", help="free-shift sweep with c = s+1",
-        description="Check the identity for each shift s in a range with c = s+1 "
-                    "(Y28, Y30).  These families have e = 1, so every s re-checks "
+        "sweep", help="free-shift sweep, c - s from the family's row",
+        description="Check the identity for each shift s in a range, with c - s "
+                    "read from the family's row (Y28, Y30).  These families have "
+                    "e = 1 and c - s = 1, so every s re-checks "
                     "the one identity F(1/H_1) = eta * H_1, with F the normalized "
                     "I-series.")
     family_and_order(p, required=True, help=keys)

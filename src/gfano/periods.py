@@ -43,7 +43,6 @@ from .qexp import ETA_PRODUCTS, sigma1
 from .series import (
     TruncatedSeries,
     inverse_laplace,
-    laplace,
     normalize,
 )
 
@@ -195,16 +194,16 @@ def _closed_form_coeffs(key: str, order: int) -> list:
 
 
 #: Entries kept by the I-series cache, the bound of the Hauptmodul route
-#: caches.  One periods pass (order 100) and one battery pass (order 60)
-#: each fill 11 (key, order) keys.
+#: caches.  One periods pass (order 100) fills 11 (key, order) keys, and
+#: one battery pass (order 60) fills 7.
 ISERIES_CACHE_SIZE = 16
 
 
 def iseries(key: str, order: int) -> TruncatedSeries:
     """The I-series of the family, exact to the requested order.
 
-    Built once per (key, order) and shared: `gseries`, the even
-    substitution and the identity rows all ask for the same series.  The
+    Built once per (key, order) and shared: `gseries`, the index-2
+    series and the identity rows all ask for the same series.  The
     cache sits on `_iseries`, so that this stays a plain function, which
     the span tracer in perfbench/spans.py rebinds.
     """
@@ -213,7 +212,7 @@ def iseries(key: str, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=ISERIES_CACHE_SIZE)
 def _iseries(key: str, order: int) -> TruncatedSeries:
-    family(key)  # raises UnknownFamily
+    fam = family(key)  # raises UnknownFamily
     if key in EVEN_REDUCTION:
         inner = iseries(EVEN_REDUCTION[key], order // 2)
         cs = [Fraction(0)] * (order + 1)
@@ -221,7 +220,7 @@ def _iseries(key: str, order: int) -> TruncatedSeries:
             cs[2 * n] = c
         return TruncatedSeries(cs, order)
     if key == "Y28":
-        return d3.holomorphic_solution(d3.OPERATORS["L14"], order)
+        return d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
     return TruncatedSeries(_closed_form_coeffs(key, order), order)
 
 
@@ -236,81 +235,3 @@ def gseries(key: str, order: int) -> TruncatedSeries:
 def givental_constant(key: str) -> Fraction:
     """The t² coefficient of the G-series."""
     return gseries(key, 2).coeffs[2]
-
-
-# -- inter-family relations ---------------------------------------------------
-
-
-class RelationReport(NamedTuple):
-    name: str
-    order: int
-    ok: bool
-    first_mismatch: Optional[int] = None
-    lhs: Optional[Fraction] = None
-    rhs: Optional[Fraction] = None
-
-    def to_json(self) -> dict:
-        data = {
-            "relation": self.name,
-            "order": self.order,
-            "status": "PASS" if self.ok else "FAIL",
-            "first_mismatch": self.first_mismatch,
-        }
-        if self.first_mismatch is not None:
-            data["lhs"] = str(self.lhs)
-            data["rhs"] = str(self.rhs)
-        return data
-
-
-def _even_substitution(key2: str, order: int) -> RelationReport:
-    """One index-2 I-series against its index-1 partner in t², by
-    re-indexing: even coefficients equal the partner's, odd ones vanish.
-
-    Vacuous for now: `_iseries` builds the index-2 series by this very
-    re-indexing of the partner's series, so the check cannot fail until
-    Y48 gets an I-series generator of its own."""
-    key1 = EVEN_REDUCTION[key2]
-    even = iseries(key2, order).coeffs
-    base = iseries(key1, order // 2).coeffs
-    expected = [Fraction(0)] * (order + 1)
-    expected[::2] = base
-    bad = next((n for n in range(order + 1) if even[n] != expected[n]), None)
-    return RelationReport(
-        f"{key2} = {key1}(t^2)", order, bad is None, bad,
-        None if bad is None else even[bad],
-        None if bad is None else expected[bad],
-    )
-
-
-def check_even_substitution(order: int) -> dict:
-    """Index-2 I-series equal their index-1 partners in t², coefficientwise.
-
-    The index-2 I-series are built by re-indexing their partners' series,
-    so this cannot fail until Y48 gets its own I-series generator; see
-    `_even_substitution`."""
-    return {key2: _even_substitution(key2, order) for key2 in sorted(EVEN_REDUCTION)}
-
-
-def check_exp_relation(order: int) -> RelationReport:
-    """The e^x relation between the two index-2 families (common dP6 section).
-
-    Both G-series are even in t.  In the halved variable x = t² their
-    x-regularizations differ by the factor e^x:
-
-        L[G(Y48_3)(√x)] = e^x · L[G(Y48_2)(√x)]
-
-    coefficientwise k!·g3_{2k} = Σ_j j!·g2_{2j}/(k-j)!, which is the
-    binomial transform between the two coefficient sequences.  It is
-    checked as one product exp(x)·h2 = h3 with h_k = k!·g_{2k}.  (The bare,
-    unregularized product form already fails at k = 2: 15/4 vs 5.)
-    """
-    half = order // 2
-    h2 = laplace(TruncatedSeries(gseries("Y48_2", order).coeffs[::2], half))
-    h3 = laplace(TruncatedSeries(gseries("Y48_3", order).coeffs[::2], half))
-    rhs = TruncatedSeries.exponential(1, half) * h2
-    bad = next((k for k in range(half + 1) if h3.coeffs[k] != rhs.coeffs[k]), None)
-    return RelationReport(
-        "L[G(Y48_3)(sqrt x)] = e^x * L[G(Y48_2)(sqrt x)]", order, bad is None, bad,
-        None if bad is None else h3.coeffs[bad],
-        None if bad is None else rhs.coeffs[bad],
-    )

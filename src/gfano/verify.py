@@ -20,18 +20,19 @@ give, coefficient for coefficient.
 Two classical specializations get their own entry points: the square of
 Σ (6n)!/((3n)! n!³) j^{-n} equals E4 exactly, and j⁻¹ times its sixth
 power equals the discriminant Delta.  Both compose X6's I-series with
-1/j, the battery's one composition.
+1/j, the battery's one composition.  `check_exp_relation` ties the two
+index-2 G-series to each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import d3, periods
 from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
-from .periods import EVEN_REDUCTION, FamilyDescriptor, family, iseries
+from .periods import EVEN_REDUCTION, FamilyDescriptor, family, gseries, iseries
 from .qexp import (
     ETA_PRODUCTS,
     OffsetError,
@@ -45,6 +46,7 @@ from .series import (
     NonUnitConstant,
     SeriesError,
     TruncatedSeries,
+    laplace,
     normalize,
 )
 
@@ -137,15 +139,12 @@ def verify_identity(
     the report.  The row is also tied to the closed-form I-series:
     normalize(I) must be the operator's solution.
 
-    Index-2 families are routed through their even-variable reduction:
-    their own I-series is checked against the index-1 partner's in t², and
-    the identity is then checked for that partner at this family's table
-    row.
+    An index-2 family's I-series is its index-1 partner's in t², so its
+    row is the partner's report at the same s, c and order (`_index2_row`).
     """
     fam = family(key)
     if key in EVEN_REDUCTION:
-        return _even_row(key, s, c, order,
-                         lambda: verify_identity(EVEN_REDUCTION[key], s, c, order))
+        return _index2_row(key, verify_identity(EVEN_REDUCTION[key], s, c, order))
 
     i_series = iseries(key, order)
     s, c, h, rhs = _modular_side(fam, s, c, order, i_series)
@@ -171,19 +170,8 @@ def verify_identity(
     )
 
 
-def _even_row(
-    key: str, s, c, order: int, partner: Callable[[], IdentityReport]
-) -> IdentityReport:
-    """An index-2 row: the family's I-series against its index-1 partner's
-    in t², then `partner()`, the partner's report at this row, renamed.
-    The partner is not asked for when the reduction already fails."""
-    reduction = periods._even_substitution(key, order)
-    if not reduction.ok:
-        return IdentityReport(
-            reduction.name, key, s, c, order, False,
-            (reduction.first_mismatch, reduction.lhs, reduction.rhs),
-        )
-    base = partner()
+def _index2_row(key: str, base: IdentityReport) -> IdentityReport:
+    """The index-2 family's row: its partner's report `base`, renamed."""
     return base._replace(name=f"{key} via {EVEN_REDUCTION[key]}: {base.name}",
                          family=key)
 
@@ -273,12 +261,12 @@ BATTERY_KEYS = ["Y30", "Y28", "Y24", "Y20", "Y12_2", "Y12_3", "Y48_2", "Y48_3"]
 
 
 def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityReport]:
-    """The full battery: six index-1 rows, two index-2 reductions, E4, Delta.
+    """The full battery: six index-1 rows, two index-2 rows, E4, Delta.
 
     E4 and Delta are checked at min(order, CLASSICAL_MAX_ORDER).  An
-    index-2 row is its even substitution plus its partner's report, which
-    the partner's own row has already computed at the same (s, c) and
-    order, so each identity is checked once.
+    index-2 row is its partner's report, which the partner's own row has
+    already computed at the same (s, c) and order, so each identity is
+    checked once.
 
     The other items are independent; with workers > 1 they run in a
     process pool and are aggregated back in the canonical (submission)
@@ -300,8 +288,28 @@ def verify_all(order: int = DEFAULT_ORDER, workers: int = 1) -> List[IdentityRep
         reports = [item() for item in items]
     rows = dict(zip(keys, reports))
     battery = [
-        _even_row(k, None, None, order, lambda k=k: rows[EVEN_REDUCTION[k]])
-        if k in EVEN_REDUCTION else rows[k]
+        _index2_row(k, rows[EVEN_REDUCTION[k]]) if k in EVEN_REDUCTION else rows[k]
         for k in BATTERY_KEYS
     ]
     return battery + reports[len(keys):]
+
+
+def check_exp_relation(order: int) -> IdentityReport:
+    """The e^x relation between the two index-2 families (common dP6 section).
+
+    Both G-series are even in t.  In the halved variable x = t² their
+    x-regularizations differ by the factor e^x:
+
+        L[G(Y48_3)(√x)] = e^x · L[G(Y48_2)(√x)]
+
+    coefficientwise k!·g3_{2k} = Σ_j j!·g2_{2j}/(k-j)!, which is the
+    binomial transform between the two coefficient sequences.  It is
+    checked as one product exp(x)·h2 = h3 with h_k = k!·g_{2k}, through
+    x^(order // 2).  (The bare, unregularized product form already fails
+    at k = 2: 15/4 vs 5.)
+    """
+    half = order // 2
+    h2 = laplace(TruncatedSeries(gseries("Y48_2", order).coeffs[::2], half))
+    h3 = laplace(TruncatedSeries(gseries("Y48_3", order).coeffs[::2], half))
+    return _compare("L[G(Y48_3)(sqrt x)] = e^x * L[G(Y48_2)(sqrt x)]",
+                    h3, TruncatedSeries.exponential(1, half) * h2)

@@ -15,7 +15,7 @@ from gfano.mathieu import (
     frobenius_mukai_check,
     hecke_eigenform_check,
 )
-from gfano.periods import FamilyDescriptor, RelationReport, _even_substitution
+from gfano.periods import FamilyDescriptor
 from gfano.verify import IdentityReport, verify_identity
 
 #: Each record type with a function that builds a fresh instance of it.
@@ -23,7 +23,6 @@ MAKERS = {
     D3Operator: lambda: D3Operator(6, 368, 88, 1056, 3584),
     FamilyDescriptor: lambda: FamilyDescriptor(
         "Y30", 15, 30, 3, 1, None, 1, "15A", "15+", "L15"),
-    RelationReport: lambda: _even_substitution("Y48_2", 6),
     IdentityReport: lambda: verify_identity("Y24", 4, 7, 6),
     FrameShape: lambda: FrameShape.parse("1^2 2^2 3^2 6^2"),
     FixedPointEntry: lambda: frobenius_mukai_check()["entries"][5],
@@ -38,7 +37,6 @@ FIELDS = {
     D3Operator: "b1 b2 b3 b4 b5",
     FamilyDescriptor: "key N degree rho index shift c_minus_s hauptmodul eta "
                       "d3_operator",
-    RelationReport: "name order ok first_mismatch lhs rhs",
     IdentityReport: "name family s c order ok first_mismatch",
     FrameShape: "counts",
     FixedPointEntry: "shape order fixed_points epsilon cycles iota ok",

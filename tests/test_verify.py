@@ -6,7 +6,7 @@ import pytest
 
 from gfano import d3, periods, verify
 from gfano.hauptmodul import inverse_hauptmodul
-from gfano.periods import EVEN_REDUCTION, check_even_substitution, family, iseries
+from gfano.periods import EVEN_REDUCTION, family, iseries
 from gfano.qexp import QExpansion, discriminant
 from gfano.series import SeriesError, TruncatedSeries, normalize, regular_shift
 from gfano.verify import (
@@ -121,33 +121,6 @@ class TestOperatorRoute:
             verify_identity("Y20", order=20)
 
 
-class TestEvenSubstitution:
-    def test_checked_without_composition(self, monkeypatch):
-        def refuse(self, inner):
-            raise AssertionError("compose called")
-
-        monkeypatch.setattr(TruncatedSeries, "compose", refuse)
-        assert all(r.ok for r in check_even_substitution(40).values())
-
-    def test_each_index2_row_checks_only_its_own_family(self, monkeypatch):
-        real = periods.iseries
-
-        def tampered(key, order):
-            a = real(key, order)
-            if key != "Y48_3":
-                return a
-            cs = list(a.coeffs)
-            cs[5] = F(7)
-            return TruncatedSeries(cs, order)
-
-        monkeypatch.setattr(periods, "iseries", tampered)
-        assert verify_identity("Y48_2", order=20).ok
-        report = verify_identity("Y48_3", order=20)
-        assert not report.ok
-        assert report.first_mismatch == (5, F(7), F(0))
-        assert report.name == "Y48_3 = Y12_3(t^2)"
-
-
 class TestTableRows:
     @pytest.mark.parametrize("key,s,c", TABLE_CONFIGS)
     def test_pass_at_order_40(self, key, s, c):
@@ -164,6 +137,16 @@ class TestTableRows:
         report = verify_identity(key, order=40)
         assert report.ok
         assert "via" in report.name
+
+    @pytest.mark.parametrize("c,ok", [(14, True), (15, False)])
+    def test_index2_row_is_its_partner_at_the_callers_s_and_c(self, c, ok):
+        base = verify_identity("Y12_3", 6, c, 30)
+        report = verify_identity("Y48_3", 6, c, 30)
+        assert report == base._replace(name=f"Y48_3 via Y12_3: {base.name}",
+                                       family="Y48_3")
+        assert report.ok is ok
+        if not ok:
+            assert report.first_mismatch[0] == 1
 
 
 class TestMutations:
@@ -340,25 +323,6 @@ class TestBattery:
         monkeypatch.undo()
         for report, key in zip(reports, BATTERY_KEYS):
             assert report == verify_identity(key, order=20)
-
-    def test_failed_reduction_in_the_battery(self, monkeypatch):
-        real = periods.iseries
-
-        def tampered(key, order):
-            a = real(key, order)
-            if key != "Y48_2":
-                return a
-            cs = list(a.coeffs)
-            cs[3] = F(2)
-            return TruncatedSeries(cs, order)
-
-        monkeypatch.setattr(periods, "iseries", tampered)
-        reports = verify_all(20)
-        y48_2 = reports[BATTERY_KEYS.index("Y48_2")]
-        assert y48_2 == verify_identity("Y48_2", order=20)
-        assert y48_2.name == "Y48_2 = Y12_2(t^2)"
-        assert y48_2.first_mismatch == (3, F(2), F(0))
-        assert [r.ok for r in reports] == [k != "Y48_2" for k in BATTERY_KEYS] + [True, True]
 
     def test_report_json_schema(self):
         report = verify_identity("Y24", order=10)
