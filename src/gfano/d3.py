@@ -24,10 +24,11 @@ so each step multiplies big ints by small ones, and c_n = C_n/(n!³·d^n)
 is one reduced Fraction.  apply_operator sums the same integer factors
 over the numerators of f and divides by d times their denominator.
 
-apply_operator_in applies L in another variable t(q).  With
-θ_t = (t/(q·dt/dq))·q d/dq it evaluates θ_t³ f − Σ_j t^j·Q_j(θ_t) f by
-Horner in t.  The identity check uses it to test F(T) = R as "L, written
-in T, kills R", with no composition.
+apply_operator_in applies L in another variable t(q), θ_t = u·q d/dq with
+u = t/(q·dt/dq), on integers: with f = X_0/den and u = U/du,
+θ_t^i f = X_i/(den·du^i) where X_(i+1) = U·(q d/dq X_i), and the sum in
+powers of t is `series._horner`.  The identity check uses it to test
+F(T) = R as "L, written in T, kills R", with no composition.
 
 The catalog below lists the seven operators whose solutions are the
 normalized quantum periods of the G-Fano threefolds.  L1 belongs to the
@@ -43,7 +44,6 @@ The parameters also come in an alternate a-basis related over Z by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .series import (
@@ -52,6 +52,7 @@ from .series import (
     TruncatedSeries,
     _convolve,
     _frac,
+    _horner,
     _scaled,
     _terms,
 )
@@ -119,13 +120,6 @@ OPERATORS = {
 }
 
 
-def _scaled_operator(op: D3Operator) -> tuple[tuple[int, ...], int]:
-    """(B1..B5, d): the b's times their common denominator d, as ints."""
-    bs = (op.b1, op.b2, op.b3, op.b4, op.b5)
-    d = lcm(*(b.denominator for b in bs))
-    return tuple(b.numerator * (d // b.denominator) for b in bs), d
-
-
 def _theta_polynomials(big_b: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """d·Q_1 .. d·Q_4 for L = θ³ − Σ_j t^j·Q_j(θ), as coefficients of θ^0..θ^3.
 
@@ -159,7 +153,7 @@ def apply_operator(op: D3Operator, f: TruncatedSeries) -> TruncatedSeries:
     The sum runs on the integer numerators F of f = F/D and is divided by
     d·D once per coefficient.
     """
-    big_b, d = _scaled_operator(op)
+    big_b, d = _scaled(op, 4)
     polys = _theta_polynomials(big_b)
     k = f.order
     cs, big_d = _scaled(f.coeffs, k)
@@ -178,13 +172,14 @@ def apply_operator_in(op: D3Operator, f: TruncatedSeries, t: TruncatedSeries) ->
     t must have valuation 1.  In the variable t the operator's θ = t·d/dt
     is θ_t = u·q·d/dq with u = t/(q·dt/dq), and
 
-        L_t f = Σ_{j=0..4} t^j·P_j(θ_t) f,   P_0 = θ³, P_j = −Q_j (j ≥ 1),
+        L_t f = Σ_{j=0..4} t^j·P_j(θ_t) f,   P_0 = θ³, P_j = −Q_j (j ≥ 1).
 
-    which is evaluated by Horner in t.  Both t/q and dt/dq lose one order,
-    so t must be known through q^(K+1) for u, and the result, through q^K
-    (K = f.order).  The four θ_t-derivatives of f are scaled to one
-    denominator, and the P_j and the Horner loop run on integer numerators,
-    as `TruncatedSeries.compose` does.
+    Both t/q and dt/dq lose one order, so t must be known through q^(K+1)
+    for u, and the result, through q^K (K = f.order).  f = X_0/den and
+    u = U/du are scaled once, θ_t^i f = X_i/(den·du^i) with
+    X_(i+1) = U·(q d/dq X_i), and `series._horner` sums the integer lists
+    P_j(θ_t) f over d·den·du³ in powers of t.  Each output coefficient is
+    one Fraction.
     """
     k = f.order
     if t.order < k + 1 or t.coeffs[0] or not t.coeffs[1]:
@@ -192,29 +187,22 @@ def apply_operator_in(op: D3Operator, f: TruncatedSeries, t: TruncatedSeries) ->
             f"t must have valuation 1 and order >= {k + 1}, got order {t.order}"
         )
     dt = TruncatedSeries([n * t.coeffs[n] for n in range(1, k + 2)], k)
-    u = TruncatedSeries(t.coeffs[1 : k + 2], k) / dt
-    derivs = [f]
+    u, du = _scaled((TruncatedSeries(t.coeffs[1 : k + 2], k) / dt).coeffs, k)
+    nz_u = _terms(u, k)
+    x0, den = _scaled(f.coeffs, k)
+    xs = [x0]
     for _ in range(3):
-        g = derivs[-1]
-        derivs.append(u * TruncatedSeries([n * c for n, c in enumerate(g.coeffs)], k))
-    scaled = [_scaled(g.coeffs, k) for g in derivs]
-    den = lcm(*(dd for _, dd in scaled))
-    xs = [[x * (den // dd) for x in xs] for xs, dd in scaled]
+        xs.append(_convolve(_terms([n * x for n, x in enumerate(xs[-1])], k), nz_u, k))
 
-    big_b, d = _scaled_operator(op)
+    big_b, d = _scaled(op, 4)
     polys = [(0, 0, 0, d)] + [tuple(-c for c in p) for p in _theta_polynomials(big_b)]
+    # θ_t^i f = du^(3-i)·X_i / (den·du³)
+    polys = [[c * du ** (3 - i) for i, c in enumerate(p)] for p in polys]
     p_f = [[sum(c * x[n] for c, x in zip(p, xs)) for n in range(k + 1)] for p in polys]
 
     v, e = _scaled(t.coeffs, k)
-    nz_v = _terms(v, k)
-    acc = p_f[4]
-    e_power = 1
-    for j in range(3, -1, -1):
-        e_power *= e
-        acc = _convolve(_terms(acc, k), nz_v, k)
-        for n in range(k + 1):
-            acc[n] += p_f[j][n] * e_power
-    big_d = d * den * e_power
+    acc, e_power = _horner(p_f, v, e, k)
+    big_d = d * den * du ** 3 * e_power
     return TruncatedSeries([Fraction(x, big_d) for x in acc], k)
 
 
@@ -224,7 +212,7 @@ def holomorphic_solution(op: D3Operator, order: int) -> TruncatedSeries:
     The recursion runs on the integers C_n = n!³·d^n·c_n; see the module
     docstring.
     """
-    big_b, d = _scaled_operator(op)
+    big_b, d = _scaled(op, 4)
     polys = _theta_polynomials(big_b)
     big_c = [1]
     out = [Fraction(1)]

@@ -105,9 +105,9 @@ class QExpansion:
     def __add__(self, other) -> "QExpansion":
         """Sum; offsets must differ by an integer.
 
-        The summand with the larger offset has its body shifted into the
-        frame of the smaller offset.  If leading terms cancel the offset is
-        advanced past them.
+        The body with the larger offset is shifted by d zeros into the
+        frame of the smaller offset, and the two bodies add as series.  If
+        leading terms cancel the offset is advanced past them.
         """
         if isinstance(other, (int, Fraction)):
             other = QExpansion.constant(other, self.order)
@@ -116,17 +116,10 @@ class QExpansion:
         if d.denominator != 1:
             raise OffsetError(f"offsets {lo.offset} and {hi.offset} differ by {d}")
         d = int(d)
-        k = min(lo.order, hi.order + d)
-        cs = list(lo.body.coeffs[: k + 1])
-        cs += [Fraction(0)] * (k + 1 - len(cs))
-        for n, c in enumerate(hi.body.coeffs):
-            if n + d > k:
-                break
-            cs[n + d] += c
-        body = TruncatedSeries(cs, k)
+        body = lo.body + TruncatedSeries((0,) * d + hi.body.coeffs, hi.order + d)
         v = body.valuation()
-        if 0 < v <= k:
-            body = TruncatedSeries(body.coeffs[v:], k - v)
+        if 0 < v <= body.order:
+            body = TruncatedSeries(body.coeffs[v:], body.order - v)
             return QExpansion(lo.offset + v, body)
         return QExpansion(lo.offset, body)
 
@@ -136,8 +129,6 @@ class QExpansion:
         return QExpansion(self.offset, -self.body)
 
     def __sub__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction)):
-            other = QExpansion.constant(other, self.order)
         return self + (-other)
 
     def __pow__(self, n: int) -> "QExpansion":

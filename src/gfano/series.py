@@ -4,7 +4,9 @@ A TruncatedSeries holds coefficients c_0 .. c_K of a formal series
 Σ c_n t^n together with its truncation order K (the last index that is
 trusted).  All arithmetic is exact: coefficients are `fractions.Fraction`,
 never floats.  Binary operations truncate to the minimum order of their
-operands; composition truncates to the order of the inner series.
+operands.  A composite outer∘inner is known through
+t^min(K_in, (K_out+1)·v − 1), v the inner valuation: its first unknown
+outer term starts at t^((K_out+1)·v).
 Equality is strict: two series are equal when they have the same order
 and the same coefficients; `agrees_to` compares a prefix explicitly.
 
@@ -19,8 +21,9 @@ the end:
               divided by da·db
     1/A       B_0 = 1, B_n = -Σ_i a_i·a_0^(i-1)·B_(n-i), and
               (1/A)_n = d·B_n / a_0^(n+1)
-    A∘v       Horner over int lists, R_M = A_M, R_n = R_(n+1)·v + A_n·E^(M-n),
-              divided by D·E^M   (A = A/D of order M, inner v = v/E)
+    ΣP_j·v^j  Horner on int lists (_horner): R_m = P_m, R_j = R_(j+1)·v +
+              P_j·E^(m-j), over E^m (inner v = v/E); compose takes P_n = [A_n]
+              of A/D, over D·E^m, and d3.apply_operator_in takes P_j(θ_t) f
     A^(u/m)   Miller's recurrence on G_n = n!·(mD)^n·p_n (see pow_rational),
               divided by n!·(mD)^n
     rev A     Lagrange inversion on the powers W^n of t/A = W/d (see reverse),
@@ -104,6 +107,23 @@ def _convolve(nz_a: list[tuple[int, int]], nz_b: list[tuple[int, int]], k: int) 
                 break
             out[i + j] += x * y
     return out
+
+
+def _horner(polys: Sequence[Sequence[int]], v: Sequence[int], e: int,
+            k: int) -> tuple[list[int], int]:
+    """Σ_j P_j·(v/e)^j through t^k for int lists P_0 .. P_m and an inner
+    series with numerators v over e: the numerators R_0 and e^m, by
+    R_m = P_m, R_j = R_(j+1)·v + P_j·e^(m-j)."""
+    nz_v = _terms(v, k)
+    top = polys[-1][: k + 1]
+    acc = [*top] + [0] * (k + 1 - len(top))
+    e_power = 1
+    for p in reversed(polys[:-1]):
+        e_power *= e
+        acc = _convolve(_terms(acc, k), nz_v, k)
+        for n, x in enumerate(p[: k + 1]):
+            acc[n] += x * e_power
+    return acc, e_power
 
 
 class TruncatedSeries:
@@ -290,25 +310,20 @@ class TruncatedSeries:
     # -- composition and inversion ------------------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """outer ∘ inner, truncated to the inner order.
+        """outer ∘ inner, known through t^min(K_in, (K_out+1)·v − 1) where v
+        is the inner valuation.
 
         The inner series must have zero constant term.  The outer series is
-        treated as a polynomial in its known coefficients (Horner evaluation).
+        treated as a polynomial in its known coefficients (`_horner`).
         """
         if inner.coeffs[0]:
             raise NonzeroInnerConstant("inner series must have zero constant term")
-        k = inner.order
+        k = min(inner.order, (self.order + 1) * inner.valuation() - 1)
         # terms A_n v^n with n > k vanish through t^k
         m = min(self.order, k)
         a, big_d = _scaled(self.coeffs, m)
         v, e = _scaled(inner.coeffs, k)
-        nz_v = _terms(v, k)
-        r = [a[m]] + [0] * k
-        e_power = 1
-        for n in range(m - 1, -1, -1):
-            e_power *= e
-            r = _convolve(_terms(r, k), nz_v, k)
-            r[0] += a[n] * e_power
+        r, e_power = _horner([[x] for x in a], v, e, k)
         d = big_d * e_power
         return TruncatedSeries([Fraction(x, d) for x in r], k)
 

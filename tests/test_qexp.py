@@ -166,6 +166,16 @@ class TestEisensteinDelta:
         assert lhs.body.truncate(order - 1) == rhs.body.truncate(order - 1)
 
 
+#: bodies with a nonzero constant term, so a sum across a gap >= 1 never
+#: cancels its leading term
+bodies = st.integers(0, 10).flatmap(
+    lambda k: st.lists(
+        st.fractions(min_value=-10, max_value=10, max_denominator=12),
+        min_size=k + 1, max_size=k + 1,
+    ).filter(lambda cs: cs[0]).map(lambda cs: TruncatedSeries(cs, k))
+)
+
+
 class TestQExpansionAlgebra:
     def test_multiplication_adds_offsets(self):
         a = eta(10)
@@ -192,6 +202,22 @@ class TestQExpansionAlgebra:
         s = h + 5 + QExpansion(1, TruncatedSeries([2, 0], 1))  # + 5 + 2q
         assert s.offset == -1
         assert [int(c) for c in s.body.coeffs[:3]] == [1, 5, 2]
+
+    @settings(max_examples=60)
+    @given(st.integers(-48, 48), st.integers(1, 12), bodies, bodies)
+    def test_addition_aligns_bodies_across_integer_gaps(self, off24, gap, lo_body, hi_body):
+        lo = QExpansion(F(off24, 24), lo_body)
+        hi = QExpansion(F(off24, 24) + gap, hi_body)
+        k = min(lo.order, hi.order + gap)
+        want = [
+            lo_body.coeffs[n] + (hi_body.coeffs[n - gap] if n >= gap else 0)
+            for n in range(k + 1)
+        ]
+        got = lo + hi
+        assert got == hi + lo
+        assert got.offset == lo.offset
+        assert got.order == k
+        assert list(got.body.coeffs) == want
 
     def test_addition_rejects_fractional_gaps(self):
         with pytest.raises(OffsetError):

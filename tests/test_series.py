@@ -62,7 +62,16 @@ def schoolbook_product(a, b):
     return S(out, k)
 
 
+def composite_order(outer, inner):
+    """outer∘inner is known through t^((M+1)·v − 1): x^(M+1), the first
+    unknown outer term (M = outer.order), starts at t^((M+1)·v), v the
+    inner valuation."""
+    v = next((n for n, c in enumerate(inner.coeffs) if c), inner.order + 1)
+    return min(inner.order, (outer.order + 1) * v - 1)
+
+
 def horner_compose(outer, inner):
+    inner = inner.truncate(composite_order(outer, inner))
     result = S([outer.coeffs[outer.order]], inner.order)
     for c in reversed(outer.coeffs[: outer.order]):
         result = schoolbook_product(result, inner) + c
@@ -165,7 +174,7 @@ class TestIntegerKernel:
         # a non-integral inner series, so its common denominator is not 1
         assume(any(c.denominator != 1 for c in inner.coeffs))
         got = outer.compose(inner)
-        assert got.order == inner.order
+        assert got.order == composite_order(outer, inner)
         assert got == horner_compose(outer, inner)
         assert all_fractions(got)
 
@@ -296,6 +305,13 @@ class TestCompose:
     def test_truncates_to_inner_order(self):
         geo = S([1] * 9, 8)
         assert geo.compose(S.identity(5)).order == 5
+
+    def test_truncates_where_the_outer_order_runs_out(self):
+        # 1 + x + x² is known through x², so at x = t through t² and at
+        # x = t² through t⁵ (x³ = t⁶ is the first unknown term)
+        outer = S([1, 1, 1], 2)
+        assert outer.compose(S.identity(10)) == S([1, 1, 1], 2)
+        assert outer.compose(series(0, 0, 1, order=10)) == S([1, 0, 1, 0, 1, 0], 5)
 
     def test_nonzero_inner_constant_rejected(self):
         with pytest.raises(NonzeroInnerConstant):
