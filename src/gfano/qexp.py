@@ -18,23 +18,25 @@ and for the eta-products/quotients attached to levels 1, 6, 10, 12, 14, 15:
     eta_14p = η(q) η(q²) η(q⁷) η(q¹⁴)
     eta_15p = η(q) η(q³) η(q⁵) η(q¹⁵)
 
-The eta body is generated by the pentagonal-number theorem.  Any other
-eta-product or eta-quotient body comes from one integer recurrence on its
-logarithmic derivative, whose coefficients are divisor sums σ₁ weighted by
-the exponents (see `eta_product`); no series is dilated, multiplied or
-inverted on the way.  The naive truncated product is kept in the
-test-suite as an independent oracle for both.
+The eta body E is generated by the pentagonal-number theorem.  Any other
+eta-product or eta-quotient body is a product of dilated powers E(q^c)^a,
+each from Miller's integer recurrence over the sparse pentagonal terms of
+E (see `eta_product`); nothing is inverted on the way.  The naive
+truncated product is kept in the test-suite as an independent oracle for
+both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Mapping
 
 from .series import (
     Rational,
     SeriesError,
     TruncatedSeries,
+    _convolve,
     _frac,
     _terms,
 )
@@ -197,39 +199,62 @@ def _sigma_table(order: int, power: int) -> list:
 EtaExponentMap = Mapping[int, int]
 
 
+def _eta_power(a: int, order: int) -> list:
+    """Π (1 - q^n)^a through q^order by J.C.P. Miller's recurrence on the
+    pentagonal body E: f_0 = 1 and n·f_n = Σ_k ((a+1)k − n)·E_k·f_(n−k).
+
+    This is q·f'/f = a·q·E'/E with E cleared, so the sum runs over the
+    ~2√(2n/3) nonzero E_k only.  The f_n are integers (E_0 = 1), so every
+    division by n is exact.
+    """
+    nz_e = _terms(_eta_body_coeffs(order), order)[1:]
+    f = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for k, ek in nz_e:
+            if k > n:
+                break
+            acc += ((a + 1) * k - n) * ek * f[n - k]
+        fn, rem = divmod(acc, n)
+        if rem:
+            raise SeriesError(f"eta power coefficient q^{n} is not an integer")
+        f.append(fn)
+    return f
+
+
 def eta_product(exponents: EtaExponentMap, order: int) -> QExpansion:
     """Π_i η(q^i)^{a_i} as a QExpansion with offset Σ i·a_i / 24.
 
-    The body f = Π_i Π_n (1 - q^{in})^{a_i} has logarithmic derivative
-    q·f'/f = -Σ_m b_m q^m with b_m = Σ_{i | m} a_i·i·σ₁(m/i), so f_0 = 1 and
-    n·f_n = -Σ_{k=1..n} b_k·f_(n-k) (Köhler, "Eta Products and Theta Series
-    Identities", 2011).  The recurrence runs on ints; every division by n
-    is exact because the f_n are integers.
+    With g the gcd of the cycle lengths, the body is F(q^g) for
+    F = Π_i E(q^(i/g))^{a_i} and E the pentagonal body, so F is built
+    through q^(K//g) and spread.  Each factor E^{a_i} comes from Miller's
+    recurrence on the sparse E (`_eta_power`) through q^(K//i) and is
+    dilated by i/g; the factors are multiplied sparsest first, so the
+    dilated ones meet each other before the dense ones.
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
-    s1 = _sigma_table(order, 1)
-    b = [0] * (order + 1)
     for i, a in exponents.items():
         if not isinstance(a, int):
             raise TypeError(f"eta exponent {a!r} of cycle length {i} is not an int")
         if i < 1:
             raise SeriesError(f"cycle length {i} is not positive")
-        for m in range(1, order // i + 1):
-            b[i * m] += a * i * s1[m]
-    nz_b = _terms(b, order)
-    f = [1]
-    for n in range(1, order + 1):
-        acc = 0
-        for k, bk in nz_b:
-            if k > n:
-                break
-            acc += bk * f[n - k]
-        fn, rem = divmod(-acc, n)
-        if rem:
-            raise SeriesError(f"eta-product coefficient q^{n} is not an integer")
-        f.append(fn)
-    return QExpansion(Fraction(sigma1(exponents), 24), TruncatedSeries(f, order))
+    cycles = [i for i, a in exponents.items() if a]
+    g = gcd(*cycles) or 1
+    top = order // g
+    # E(q^(i/g))^a through q^top, as the nonzero terms of E^a through q^(K//i)
+    factors = sorted(
+        ([(i // g * n, x) for n, x in enumerate(_eta_power(exponents[i], order // i)) if x]
+         for i in cycles),
+        key=len,
+    )
+    nz_f = [(0, 1)]
+    for nz in factors:
+        nz_f = _terms(_convolve(nz_f, nz, top), top)
+    body = [0] * (order + 1)
+    for n, x in nz_f:
+        body[g * n] = x
+    return QExpansion(Fraction(sigma1(exponents), 24), TruncatedSeries(body, order))
 
 
 def sigma1(exponents: EtaExponentMap) -> int:

@@ -22,12 +22,15 @@ the end:
     1/A       B_0 = 1, B_n = -Σ_i a_i·a_0^(i-1)·B_(n-i), and
               (1/A)_n = d·B_n / a_0^(n+1)
     ΣP_j·v^j  Horner on int lists (_horner): R_m = P_m, R_j = R_(j+1)·v +
-              P_j·E^(m-j), over E^m (inner v = v/E); compose takes P_n = [A_n]
-              of A/D, over D·E^m, and d3.apply_operator_in takes P_j(θ_t) f
+              P_j·E^(m-j), over E^m (inner v = v/E); d3.apply_operator_in
+              takes P_j(θ_t) f
+    A∘v       rectangular splitting (Paterson-Stockmeyer): baby powers v^0 ..
+              v^b, b = isqrt(len A), blocks P_j = Σ_i A_(jb+i)·v^i as scalar
+              combinations of them, and _horner over v^b; about 2√K products
     A^(u/m)   Miller's recurrence on G_n = n!·(mD)^n·p_n (see pow_rational),
               divided by n!·(mD)^n
-    rev A     Lagrange inversion on the powers W^n of t/A = W/d (see reverse),
-              divided by n·d^n
+    rev A     Lagrange inversion, [t^(n-1)] W^n of t/A = W/d from baby steps
+              W^i and giant steps W^(jm) (see reverse), divided by n·d^n
     shift     the binomial transform below, over A = A/D and s = p/q
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
@@ -48,7 +51,8 @@ never as a product with exp(s t), whose 1/n! would scale them by K!.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -106,6 +110,15 @@ def _convolve(nz_a: list[tuple[int, int]], nz_b: list[tuple[int, int]], k: int) 
             if j > room:
                 break
             out[i + j] += x * y
+    return out
+
+
+def _powers(v: Sequence[int], count: int, k: int) -> list[list[int]]:
+    """v^0 .. v^count through t^k as int lists of length k + 1."""
+    nz_v = _terms(v, k)
+    out = [[1] + [0] * k]
+    for _ in range(count):
+        out.append(_convolve(_terms(out[-1], k), nz_v, k))
     return out
 
 
@@ -314,7 +327,13 @@ class TruncatedSeries:
         is the inner valuation.
 
         The inner series must have zero constant term.  The outer series is
-        treated as a polynomial in its known coefficients (`_horner`).
+        treated as a polynomial in its known coefficients and summed by
+        rectangular splitting (Paterson & Stockmeyer, 1973).  With A/D the
+        outer numerators, v/e the inner ones and b = isqrt(len A), the baby
+        powers v^0 .. v^b give each block Σ_{i<b} A_(jb+i)·v^i·e^(b-1-i)
+        as a scalar combination over e^(b-1), and `_horner` sums the blocks
+        in v^b over e^b.  That is b − 1 + ⌈len A / b⌉ − 1 products, not
+        len A − 1.
         """
         if inner.coeffs[0]:
             raise NonzeroInnerConstant("inner series must have zero constant term")
@@ -323,8 +342,20 @@ class TruncatedSeries:
         m = min(self.order, k)
         a, big_d = _scaled(self.coeffs, m)
         v, e = _scaled(inner.coeffs, k)
-        r, e_power = _horner([[x] for x in a], v, e, k)
-        d = big_d * e_power
+        b = isqrt(m + 1)
+        baby = _powers(v, b, k)
+        lift = [e ** (b - 1 - i) for i in range(b)]
+        scaled = [[(n, x * s) for n, x in _terms(p, k)] for p, s in zip(baby, lift)]
+        blocks = []
+        for j in range(0, m + 1, b):
+            block = [0] * (k + 1)
+            for c, terms in zip(a[j : j + b], scaled):
+                if c:
+                    for n, x in terms:
+                        block[n] += c * x
+            blocks.append(block)
+        r, e_power = _horner(blocks, baby[b], e ** b, k)
+        d = big_d * e ** (b - 1) * e_power
         return TruncatedSeries([Fraction(x, d) for x in r], k)
 
     def reverse(self) -> "TruncatedSeries":
@@ -334,22 +365,28 @@ class TruncatedSeries:
         r satisfies f(r(t)) = t and its coefficients are
         r_n = [t^{n-1}] (t/f)^n / n.
 
-        With t/f = W/d (integer numerators W), the running power w^n is
-        kept as the int list W^n over d^n, so r_n = (W^n)_(n-1) / (n·d^n)
-        is the only Fraction built per step.
+        With t/f = W/d (integer numerators W) and m = isqrt(K), the baby
+        steps W^0 .. W^m and the giant steps W^(jm) are kept as int lists
+        (Johansson, "A fast algorithm for reversion of power series", 2015).
+        For n = jm + i, (W^n)_(n-1) is one dot product of W^(jm) with W^i,
+        so about 2√K products replace K, and r_n = (W^n)_(n-1) / (n·d^n)
+        is the only Fraction built per coefficient.
         """
         if self.coeffs[0] or self.order < 1 or not self.coeffs[1]:
             raise NotInvertible("reversion needs valuation exactly 1")
         k = self.order
         # w = t/f as a unit series of order k-1
         w, d = _scaled(TruncatedSeries(self.coeffs[1:], k - 1).reciprocal().coeffs, k - 1)
-        nz_w = _terms(w, k - 1)
-        out = [Fraction(0), Fraction(w[0], d)]
-        power, scale = w, d
-        for n in range(2, k + 1):
-            power = _convolve(_terms(power, k - 1), nz_w, k - 1)
+        m = isqrt(k)
+        baby = _powers(w, m, k - 1)
+        giant = _powers(baby[m], k // m, k - 1)
+        out = [Fraction(0)]
+        scale = 1
+        for n in range(1, k + 1):
+            j, i = divmod(n, m)
             scale *= d
-            out.append(Fraction(power[n - 1], n * scale))
+            top = sum(map(mul, giant[j][:n], baby[i][n - 1 :: -1]))
+            out.append(Fraction(top, n * scale))
         return TruncatedSeries(out, k)
 
     def pow_rational(self, e: Rational) -> "TruncatedSeries":

@@ -42,6 +42,10 @@ T6A_TAIL = [79, 352, 1431, 4160, 13015, 31968]
 PINNED_DIGESTS = {
     "hauptmodul_200": "920f89bcaa70ea2cfd3eb3881c43370ec7f67df5f73e968bd1893ba4b98647c8",
     "mirror_map_60": "46540438df6e117afff604cafd201f2c71d4b4fc8ad7d8a4d7ee1161604336c5",
+    # recorded from the one-power-per-coefficient Lagrange loop, before
+    # reverse took baby and giant steps: mirror_map(hauptmodul(label,
+    # order=60)) untruncated, so through t^61
+    "mirror_map_61": "78364d8ab21ae9b052930aa6baa626adad4b06eb3fc42ac3601edcad4f1b18d7",
 }
 
 
@@ -240,6 +244,11 @@ class TestPinnedOutputs:
     def test_mirror_maps_to_60(self):
         got = {label: mirror_map(hauptmodul(label, order=60), 60) for label in LABELS}
         assert canonical_sha256(got) == PINNED_DIGESTS["mirror_map_60"]
+
+    def test_untruncated_mirror_maps(self):
+        got = {label: mirror_map(hauptmodul(label, order=60)) for label in LABELS}
+        assert {q.order for q in got.values()} == {61}
+        assert canonical_sha256(got) == PINNED_DIGESTS["mirror_map_61"]
 
 
 @pytest.mark.parametrize("route", [_eta_route, _identity_route, periods._iseries])

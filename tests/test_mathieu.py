@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 from test_periods import canonical_sha256
+from test_qexp import product_oracle
 
 from gfano import mathieu
 from gfano.mathieu import (
@@ -31,7 +32,7 @@ from gfano.mathieu import (
     psi,
     rational_type,
 )
-from gfano.qexp import QExpansion, discriminant, eta
+from gfano.qexp import QExpansion, discriminant
 from gfano.series import TruncatedSeries
 
 #: sha256 of the 28 Mason bodies at 210, recorded from the repeated-squaring
@@ -224,8 +225,11 @@ class TestFrobeniusMukai:
 
 class TestMasonEta:
     def test_identity_shape_gives_discriminant(self):
-        # the pentagonal series to the 24th power, not eta_product again
-        assert mason_eta(FrameShape.parse("1^24"), 30) == eta(30) ** 24
+        # the naive product of (1 - q^n)^24, not the pentagonal series that
+        # eta_product and eta both read
+        delta = mason_eta(FrameShape.parse("1^24"), 30)
+        assert delta.offset == 1
+        assert delta.body == TruncatedSeries(product_oracle(30, power=24), 30)
 
     def test_1_8_2_8_prefix(self):
         f = mason_eta(FrameShape.parse("1^8 2^8"), 6)

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_periods import canonical_sha256
 
+from gfano import qexp
 from gfano.hauptmodul import _TWO_TERM
 from gfano.mathieu import M24_SHAPES, S24_EXTRA_SHAPES
 from gfano.qexp import (
@@ -50,7 +52,8 @@ class TestEta:
         assert d.offset == 1
         assert [int(c) for c in d.body.coeffs[:4]] == [1, -24, 252, -1472]
         assert [int(c) for c in d.body.coeffs] == product_oracle(40, power=24)
-        # discriminant() comes from the eta_product recurrence: a second route
+        # discriminant() is Miller's recurrence on the same pentagonal body,
+        # so the naive product above is the independent check on both
         assert discriminant(40) == d
 
 
@@ -117,7 +120,66 @@ ORACLE_SHAPES = {
 }
 
 
+#: The 28 M24/S24 frame shapes and the five Hauptmodul quotients (the four
+#: two-term ones and 12A), keyed by name for the pinned digests below.
+PINNED_SHAPES = {str(g): dict(g.counts) for g in M24_SHAPES + S24_EXTRA_SHAPES}
+PINNED_QUOTIENTS = {**{label: e for label, (e, _, _) in _TWO_TERM.items()},
+                    "12A": {2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6}}
+
+# Recorded from the divisor-sum (σ₁) recurrence, before eta-products were
+# built from their pentagonal factors; they pin the bodies bit for bit.
+# 211 is prime, so no shape's cycle gcd divides it.  The shapes at 210 are
+# pinned in test_mathieu (MASON_DIGEST_210).
+PINNED_DIGESTS = {
+    ("shapes", 211): "7c240cd65fa9a663a316161dc902af9ceab590ac96455150f6515cf892c6d411",
+    ("quotients", 210): "6c3c29b28b0edaa53d100284c7d17de0b747dc977716d73618c8bd6ebe7d333d",
+    ("quotients", 211): "65557ee03705db23733ce34a60df60b0fd1a11a91655194150d5e37fa4fd0fbe",
+}
+
+
 class TestEtaProductRecurrence:
+    @pytest.mark.parametrize("group,order", sorted(PINNED_DIGESTS))
+    def test_pinned_digests(self, group, order):
+        exponents = PINNED_SHAPES if group == "shapes" else PINNED_QUOTIENTS
+        got = {name: eta_product(e, order) for name, e in exponents.items()}
+        assert canonical_sha256(got) == PINNED_DIGESTS[group, order]
+
+    @pytest.mark.parametrize("exponents", [
+        {1: 2, 2: 0, 3: 1},        # an exponent of 0
+        {2: 0, 4: 3},              # g = 4 once the zero exponent is dropped
+        {1: -24},                  # 1/Delta
+        {2: -3, 4: 5, 1: -1},      # negative exponents on dilated factors
+        {3: -2, 6: 4, 9: -1},      # g = 3, a quotient
+        {5: 3, 40: 2},             # g = 5, one cycle longer than the order
+        {2: 12},                   # the shape 2^12, g = 2
+        {12: 2},                   # the shape 12^2, g = 12
+    ])
+    def test_edge_cases_against_naive_product(self, exponents):
+        expected = naive_eta_body(exponents, 30)
+        for order in (1, 2, 3, 7, 30):
+            got = eta_product(exponents, order)
+            assert got.offset == F(sigma1(exponents), 24)
+            assert got.body == TruncatedSeries(expected[: order + 1], order), order
+
+    def test_only_cycles_longer_than_the_order(self):
+        got = eta_product({30: 5, 45: -1}, 20)
+        assert got == QExpansion(F(105, 24), TruncatedSeries.one(20))
+
+    def test_no_exponents_is_one(self):
+        assert eta_product({}, 5) == eta_product({1: 0, 7: 0}, 5) == QExpansion.constant(1, 5)
+
+    def test_validation_runs_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an eta power was built before the exponents were checked")
+
+        monkeypatch.setattr(qexp, "_eta_power", no_work)
+        with pytest.raises(TypeError):
+            eta_product({1: 24, 2: F(1, 2)}, 50)
+        with pytest.raises(SeriesError):
+            eta_product({1: 24, 0: 1}, 50)
+        with pytest.raises(SeriesError):
+            eta_product({1: 24}, 0)
+
     @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
     def test_against_naive_product(self, name):
         exponents = ORACLE_SHAPES[name]

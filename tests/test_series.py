@@ -318,6 +318,36 @@ class TestCompose:
             S.one(3).compose(series(1, 1, 0, 0))
 
 
+def block_outer(length):
+    """A dense outer series with `length` known terms, mixed signs and
+    denominators: A_n = (-1)^n (n + 2) / (n % 4 + 1)."""
+    return S([F((-1) ** n * (n + 2), n % 4 + 1) for n in range(length)], length - 1)
+
+
+def block_inner(valuation, order):
+    """t^v times a non-integral unit: coefficient n ≥ v is
+    (-1)^n (n % 5 + 1) / (n % 3 + 2)."""
+    return S([0] * valuation + [F((-1) ** n * (n % 5 + 1), n % 3 + 2)
+                                for n in range(valuation, order + 1)], order)
+
+
+class TestComposeBlocks:
+    """compose sums the outer series in blocks of b = isqrt(len A) terms;
+    these lengths sit on, just below and just above the block boundaries
+    (b = 1, 1, 1, 2, 2, 2, 3, 3, 5, 6, 6, 7), with the inner order long
+    enough that every outer term enters the sum."""
+
+    @pytest.mark.parametrize("valuation", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 10, 35, 36, 37, 50])
+    def test_matches_fraction_horner(self, length, valuation):
+        outer = block_outer(length)
+        inner = block_inner(valuation, length + 1)
+        got = outer.compose(inner)
+        assert got.order == composite_order(outer, inner) >= outer.order
+        assert got == horner_compose(outer, inner)
+        assert all_fractions(got)
+
+
 def reverse_by_substitution(f):
     """Independent oracle: solve f(r(t)) = t coefficient by coefficient."""
     k = f.order
@@ -380,6 +410,23 @@ class TestReverse:
         r = f.reverse()
         assert r == lagrange_reverse(f)
         assert f.compose(r) == S.identity(f.order)
+
+    @pytest.mark.parametrize("f", [
+        # integral, as a mirror map's 1/H is
+        S([0, 1] + [(-1) ** n * (n % 7 + 1) for n in range(2, 41)], 40),
+        # mixed denominators and a non-unit leading coefficient
+        S([0, F(2, 3)] + [F((-1) ** n * (n % 5), n % 4 + 1) for n in range(2, 41)], 40),
+    ], ids=["integral", "mixed"])
+    def test_every_order_to_40(self, f):
+        # r_n depends on f_1 .. f_n only, so each oracle, computed once at
+        # order 40, holds at every lower order after truncation; the baby-
+        # and giant-step split m = isqrt(K) changes with the order, the
+        # oracles' loops do not
+        lagrange = lagrange_reverse(f)
+        substituted = reverse_by_substitution(f)
+        for order in range(1, 41):
+            got = f.truncate(order).reverse()
+            assert got == lagrange.truncate(order) == substituted.truncate(order), order
 
     def test_mixed_denominators(self):
         f = series(0, F(2, 3), F(-5, 4), F(7, 6), 0, F(1, 9), F(-3, 10), 2)
