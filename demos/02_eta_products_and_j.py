@@ -13,7 +13,6 @@ from gfano import (
     eta,
     eta_product,
     klein_j,
-    sigma1,
 )
 
 e = eta(12)
@@ -36,6 +35,6 @@ print()
 print("the five level eta-products and their valuations sigma1/24:")
 for key in ("6+", "10+", "12+", "14+", "15+"):
     ep = eta_product(ETA_PRODUCTS[key], 10)
-    print(f"  eta_{key:3s} offset {str(ep.offset):4s} sigma1 {sigma1(ETA_PRODUCTS[key]):2d}"
+    print(f"  eta_{key:3s} offset {str(ep.offset):4s} sigma1 {ETA_PRODUCTS[key].sigma1:2d}"
           f"  body {[int(c) for c in ep.body.coeffs[:7]]}")
 print("(these valuations are exactly the H-exponents in the identities)")

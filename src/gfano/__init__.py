@@ -27,7 +27,7 @@ _EXPORTS = {
     name: module
     for module, names in [
         ("series", "TruncatedSeries laplace inverse_laplace regular_shift normalize"),
-        ("qexp", "QExpansion ETA_PRODUCTS eta eta_product sigma1 eisenstein_e4 "
+        ("qexp", "QExpansion EtaQuotient ETA_PRODUCTS eta eta_product eisenstein_e4 "
                  "discriminant klein_j"),
         ("d3", "D3Operator OPERATORS from_a_basis apply_operator apply_operator_in "
                "holomorphic_solution"),

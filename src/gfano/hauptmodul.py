@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import d3, periods
-from .qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
+from .qexp import ETA_PRODUCTS, EtaQuotient, QExpansion, eta_product, klein_j
 from .series import (
     Rational,
     SeriesError,
@@ -141,13 +141,18 @@ def solve_hauptmodul_from_identity(
 # -- construction routes -------------------------------------------------------
 
 
-#: label -> (eta exponents of f, const, scale) for H = f + const + scale/f.
+#: label -> (eta-quotient f, const, scale) for H = f + const + scale/f.
 _TWO_TERM = {
-    "6A": ({1: 6, 3: 6, 2: -6, 6: -6}, 16, 64),
-    "10A": ({1: 4, 5: 4, 2: -4, 10: -4}, 8, 16),
-    "14A": ({1: 3, 7: 3, 2: -3, 14: -3}, 4, 8),
-    "15A": ({1: 2, 5: 2, 3: -2, 15: -2}, 3, 9),
+    label: (EtaQuotient.parse(f), const, scale) for label, f, const, scale in [
+        ("6A", "1^6 3^6 2^-6 6^-6", 16, 64),
+        ("10A", "1^4 5^4 2^-4 10^-4", 8, 16),
+        ("14A", "1^3 7^3 2^-3 14^-3", 4, 8),
+        ("15A", "1^2 5^2 3^-2 15^-2", 3, 9),
+    ]
 }
+
+#: H_12A itself is an eta-quotient.
+_QUOTIENT_12A = EtaQuotient.parse("2^12 6^12 1^-6 3^-6 4^-6 12^-6")
 
 
 #: Entries kept by each route cache.  One battery pass fills 5 (label,
@@ -160,11 +165,11 @@ def _eta_route(label: str, order: int) -> QExpansion:
     if label == "1A":
         return klein_j(order)
     if label == "12A":
-        return eta_product({2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6}, order)
+        return eta_product(_QUOTIENT_12A, order)
     if label not in _TWO_TERM:
         raise UnknownLabel(label)
-    exponents, const, scale = _TWO_TERM[label]
-    f = eta_product(exponents, order)
+    quotient, const, scale = _TWO_TERM[label]
+    f = eta_product(quotient, order)
     return f + QExpansion.constant(const, order) + scale * f.reciprocal()
 
 

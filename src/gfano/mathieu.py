@@ -40,19 +40,13 @@ as exceptions.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .qexp import QExpansion, eta_product
+from .qexp import EtaQuotient, ParseError, QExpansion, eta_product
 from .periods import FAMILIES, printed_constant
 from .series import _scaled
-
-
-class ParseError(ValueError):
-    """Malformed frame-shape text."""
 
 
 class SumNot24(ValueError):
@@ -63,57 +57,29 @@ class BoundTooSmall(ValueError):
     """A Hecke check bound below the first coprime pair 2·3."""
 
 
-class FrameShape(NamedTuple):
-    """Multiset of cycle lengths with multiplicities, Σ i·a_i = 24.
+class FrameShape(EtaQuotient):
+    """The cycle type of a permutation of 24 points: an eta-quotient with
+    multiplicities r ≥ 0 and Σ δ·r = 24."""
 
-    Negative multiplicities (eta-quotient shapes) are allowed when the
-    permutation constraint is switched off.
-    """
-
-    counts: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
-    def from_counts(cls, counts: Dict[int, int], permutation: bool = True) -> "FrameShape":
-        counts = {i: a for i, a in counts.items() if a}
-        if any(i < 1 for i in counts):
-            raise ParseError("cycle lengths must be positive")
-        if permutation:
-            if any(a < 0 for a in counts.values()):
-                raise ParseError("permutation shapes need non-negative multiplicities")
-            total = sum(i * a for i, a in counts.items())
-            if total != 24:
-                raise SumNot24(f"cycle lengths sum to {total}, not 24")
-        return cls(tuple(sorted(counts.items())))
-
-    @classmethod
-    def parse(cls, text: str, permutation: bool = True) -> "FrameShape":
-        """Parse "1^2 2^2 3^2 6^2" (bare "i" meaning i^1)."""
-        counts: Dict[int, int] = {}
-        for token in text.split():
-            m = re.fullmatch(r"(\d+)(?:\^(-?\d+))?", token)
-            if not m:
-                raise ParseError(f"bad token {token!r}")
-            i = int(m.group(1))
-            a = int(m.group(2)) if m.group(2) else 1
-            counts[i] = counts.get(i, 0) + a
-        if not counts:
-            raise ParseError("empty frame shape")
-        return cls.from_counts(counts, permutation)
-
-    def multiplicity(self, i: int) -> int:
-        return dict(self.counts).get(i, 0)
-
-    @property
-    def lengths(self) -> List[int]:
-        return [i for i, _ in self.counts]
+    def from_counts(cls, counts: Mapping[int, int]) -> "FrameShape":
+        g = super().from_counts(counts)
+        if any(a < 0 for _, a in g.counts):
+            raise ParseError("permutation shapes need non-negative multiplicities")
+        if g.sigma1 != 24:
+            raise SumNot24(f"cycle lengths sum to {g.sigma1}, not 24")
+        return g
 
     @property
     def order(self) -> int:
-        return reduce(lcm, self.lengths, 1)
+        return lcm(*(i for i, _ in self.counts))
 
     @property
     def fixed_points(self) -> int:
-        return self.multiplicity(1)
+        i, a = self.counts[0]
+        return a if i == 1 else 0
 
     @property
     def cycles(self) -> int:
@@ -125,10 +91,7 @@ class FrameShape(NamedTuple):
 
     @property
     def level(self) -> int:
-        return reduce(gcd, self.lengths) * reduce(lcm, self.lengths, 1)
-
-    def __str__(self) -> str:
-        return " ".join(f"{i}^{a}" for i, a in self.counts)
+        return gcd(*(i for i, _ in self.counts)) * self.order
 
     def to_json(self) -> dict:
         return {
@@ -328,7 +291,7 @@ def frobenius_mukai_check() -> dict:
 
 def mason_eta(g: FrameShape, order: int) -> QExpansion:
     """The eta-product Π η(q^i)^{a_i} of a frame shape."""
-    return eta_product(dict(g.counts), order)
+    return eta_product(g, order)
 
 
 class HeckeReport(NamedTuple):

@@ -39,7 +39,7 @@ from math import factorial
 from typing import Dict, NamedTuple, Optional, Union
 
 from . import d3
-from .qexp import ETA_PRODUCTS, sigma1
+from .qexp import ETA_PRODUCTS
 from .series import (
     TruncatedSeries,
     inverse_laplace,
@@ -78,7 +78,7 @@ class FamilyDescriptor(NamedTuple):
     @property
     def exponent(self) -> Fraction:
         """σ₁/24 of the attached eta-product."""
-        return Fraction(sigma1(ETA_PRODUCTS[self.eta]), 24)
+        return Fraction(ETA_PRODUCTS[self.eta].sigma1, 24)
 
     def default_shift(self, i_series: TruncatedSeries) -> Fraction:
         """The row's s: the pinned shift, or for a free shift the linear

@@ -9,14 +9,11 @@ constant term.  This is exactly what is needed for
     E4(q)    = 1 + 240 Σ σ₃(n) q^n
     j(q)     = E4^3 / Delta = 1/q + 744 + 196884 q + ...
 
-and for the eta-products/quotients attached to levels 1, 6, 10, 12, 14, 15:
-
-    eta_1p  = η(q)⁴
-    eta_6p  = η(q) η(q²) η(q³) η(q⁶)
-    eta_10p = η(q) η(q²) η(q⁵) η(q¹⁰)
-    eta_12p = η(q²)⁴ η(q⁶)⁴ / (η(q) η(q³) η(q⁴) η(q¹²))
-    eta_14p = η(q) η(q²) η(q⁷) η(q¹⁴)
-    eta_15p = η(q) η(q³) η(q⁵) η(q¹⁵)
+and for the eta-quotients Π_δ η(q^δ)^{r_δ}.  Each is an `EtaQuotient`,
+the sorted (δ, r) pairs checked once by `EtaQuotient.from_counts`: the
+identity products of levels 1, 6, 10, 12, 14, 15 in `ETA_PRODUCTS`,
+Delta = 1^24, the Hauptmodul quotients of `hauptmodul` and, through the
+`FrameShape` subclass, the M24/S24 frame shapes of `mathieu`.
 
 The eta body E is generated by the pentagonal-number theorem.  Any other
 eta-product or eta-quotient body is a product of dilated powers E(q^c)^a,
@@ -28,9 +25,10 @@ both.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .series import (
     Rational,
@@ -44,6 +42,10 @@ from .series import (
 
 class OffsetError(SeriesError):
     """Offsets that cannot be reconciled or leave (1/24)·Z."""
+
+
+class ParseError(ValueError):
+    """Malformed eta-quotient or frame-shape text or counts."""
 
 
 def _check_offset(off: Fraction) -> Fraction:
@@ -194,9 +196,46 @@ def _sigma_table(order: int, power: int) -> list:
     return s
 
 
-# An eta exponent map sends a cycle length i to the exponent of η(q^i);
-# negative exponents give eta-quotients.
-EtaExponentMap = Mapping[int, int]
+class EtaQuotient(NamedTuple):
+    """Π_δ η(q^δ)^{r_δ} as sorted (δ, r) pairs, int δ ≥ 1 and int r ≠ 0.
+
+    Build it with `from_counts` or `parse`, which check the pairs.
+    """
+
+    counts: Tuple[Tuple[int, int], ...]
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int]) -> "EtaQuotient":
+        for i, a in counts.items():
+            if not (isinstance(i, int) and isinstance(a, int)):
+                raise TypeError(f"cycle length {i!r} and exponent {a!r} must be ints")
+        counts = {i: a for i, a in counts.items() if a}
+        if any(i < 1 for i in counts):
+            raise ParseError("cycle lengths must be positive")
+        return cls(tuple(sorted(counts.items())))
+
+    @classmethod
+    def parse(cls, text: str) -> "EtaQuotient":
+        """Parse "1^2 2^2 3^2 6^2" (bare "i" meaning i^1)."""
+        counts: Dict[int, int] = {}
+        for token in text.split():
+            m = re.fullmatch(r"(\d+)(?:\^(-?\d+))?", token)
+            if not m:
+                raise ParseError(f"bad token {token!r}")
+            i = int(m.group(1))
+            a = int(m.group(2)) if m.group(2) else 1
+            counts[i] = counts.get(i, 0) + a
+        if not counts:
+            raise ParseError("empty frame shape")
+        return cls.from_counts(counts)
+
+    @property
+    def sigma1(self) -> int:
+        """Σ δ·r_δ, 24 times the q-valuation of the eta-product."""
+        return sum(i * a for i, a in self.counts)
+
+    def __str__(self) -> str:
+        return " ".join(f"{i}^{a}" for i, a in self.counts)
 
 
 def _eta_power(a: int, order: int) -> list:
@@ -222,30 +261,24 @@ def _eta_power(a: int, order: int) -> list:
     return f
 
 
-def eta_product(exponents: EtaExponentMap, order: int) -> QExpansion:
-    """Π_i η(q^i)^{a_i} as a QExpansion with offset Σ i·a_i / 24.
+def eta_product(g: EtaQuotient, order: int) -> QExpansion:
+    """Π_δ η(q^δ)^{r_δ} as a QExpansion with offset σ₁/24.
 
-    With g the gcd of the cycle lengths, the body is F(q^g) for
-    F = Π_i E(q^(i/g))^{a_i} and E the pentagonal body, so F is built
-    through q^(K//g) and spread.  Each factor E^{a_i} comes from Miller's
-    recurrence on the sparse E (`_eta_power`) through q^(K//i) and is
-    dilated by i/g; the factors are multiplied sparsest first, so the
+    With c the gcd of the cycle lengths, the body is F(q^c) for
+    F = Π_δ E(q^(δ/c))^{r_δ} and E the pentagonal body, so F is built
+    through q^(K//c) and spread.  Each factor E^{r_δ} comes from Miller's
+    recurrence on the sparse E (`_eta_power`) through q^(K//δ) and is
+    dilated by δ/c; the factors are multiplied sparsest first, so the
     dilated ones meet each other before the dense ones.
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
-    for i, a in exponents.items():
-        if not isinstance(a, int):
-            raise TypeError(f"eta exponent {a!r} of cycle length {i} is not an int")
-        if i < 1:
-            raise SeriesError(f"cycle length {i} is not positive")
-    cycles = [i for i, a in exponents.items() if a]
-    g = gcd(*cycles) or 1
-    top = order // g
-    # E(q^(i/g))^a through q^top, as the nonzero terms of E^a through q^(K//i)
+    c = gcd(*(i for i, _ in g.counts)) or 1
+    top = order // c
+    # E(q^(δ/c))^r through q^top, as the nonzero terms of E^r through q^(K//δ)
     factors = sorted(
-        ([(i // g * n, x) for n, x in enumerate(_eta_power(exponents[i], order // i)) if x]
-         for i in cycles),
+        ([(i // c * n, x) for n, x in enumerate(_eta_power(a, order // i)) if x]
+         for i, a in g.counts),
         key=len,
     )
     nz_f = [(0, 1)]
@@ -253,28 +286,24 @@ def eta_product(exponents: EtaExponentMap, order: int) -> QExpansion:
         nz_f = _terms(_convolve(nz_f, nz, top), top)
     body = [0] * (order + 1)
     for n, x in nz_f:
-        body[g * n] = x
-    return QExpansion(Fraction(sigma1(exponents), 24), TruncatedSeries(body, order))
+        body[c * n] = x
+    return QExpansion(Fraction(g.sigma1, 24), TruncatedSeries(body, order))
 
 
-def sigma1(exponents: EtaExponentMap) -> int:
-    """24 times the valuation of the eta-product: Σ i·a_i.
-
-    Taken with the positive sign, which is the one matching every exponent
-    that actually multiplies a Hauptmodul in the identities (1/6, 1/2, 3/4,
-    1/2, 1, 1 for levels 1, 6, 10, 12, 14, 15).
-    """
-    return sum(i * a for i, a in exponents.items())
-
-
-ETA_PRODUCTS: Dict[str, Dict[int, int]] = {
-    "1+": {1: 4},
-    "6+": {1: 1, 2: 1, 3: 1, 6: 1},
-    "10+": {1: 1, 2: 1, 5: 1, 10: 1},
-    "12+": {2: 4, 6: 4, 1: -1, 3: -1, 4: -1, 12: -1},
-    "14+": {1: 1, 2: 1, 7: 1, 14: 1},
-    "15+": {1: 1, 3: 1, 5: 1, 15: 1},
+#: The eta-product of each identity.  Its σ₁/24 (1/6, 1/2, 3/4, 1/2, 1, 1
+#: for levels 1, 6, 10, 12, 14, 15) is the exponent of the Hauptmodul.
+ETA_PRODUCTS: Dict[str, EtaQuotient] = {
+    key: EtaQuotient.parse(text) for key, text in [
+        ("1+", "1^4"),
+        ("6+", "1 2 3 6"),
+        ("10+", "1 2 5 10"),
+        ("12+", "2^4 6^4 1^-1 3^-1 4^-1 12^-1"),
+        ("14+", "1 2 7 14"),
+        ("15+", "1 3 5 15"),
+    ]
 }
+
+_DELTA = EtaQuotient.parse("1^24")
 
 
 # -- Eisenstein E4, discriminant, Klein j ------------------------------------
@@ -291,7 +320,7 @@ def eisenstein_e4(order: int) -> QExpansion:
 
 def discriminant(order: int) -> QExpansion:
     """Delta = eta^24: offset 1, body Π (1-q^n)^24 = 1 - 24q + 252q² - ..."""
-    return eta_product({1: 24}, order)
+    return eta_product(_DELTA, order)
 
 
 def klein_j(order: int) -> QExpansion:

@@ -32,7 +32,7 @@ from gfano.mathieu import (
     psi,
     rational_type,
 )
-from gfano.qexp import QExpansion, discriminant
+from gfano.qexp import EtaQuotient, QExpansion, discriminant
 from gfano.series import TruncatedSeries
 
 #: sha256 of the 28 Mason bodies at 210, recorded from the repeated-squaring
@@ -92,9 +92,10 @@ class TestParsing:
             FrameShape.parse("1^23")
 
     def test_quotient_shapes_allowed_when_unconstrained(self):
-        g = FrameShape.from_counts({2: 4, 6: 4, 1: -1, 3: -1, 4: -1, 12: -1},
-                                   permutation=False)
-        assert g.multiplicity(1) == -1
+        counts = {2: 4, 6: 4, 1: -1, 3: -1, 4: -1, 12: -1}
+        assert EtaQuotient.from_counts(counts).counts[0] == (1, -1)
+        with pytest.raises(ParseError, match="non-negative multiplicities"):
+            FrameShape.from_counts(counts)
 
 
 class TestPrintedTables:

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from test_periods import canonical_sha256
 
 from gfano import qexp
-from gfano.hauptmodul import _TWO_TERM
-from gfano.mathieu import M24_SHAPES, S24_EXTRA_SHAPES
+from gfano.hauptmodul import _QUOTIENT_12A, _TWO_TERM
+from gfano.mathieu import M24_SHAPES, S24_EXTRA_SHAPES, FrameShape
 from gfano.qexp import (
     ETA_PRODUCTS,
+    EtaQuotient,
     OffsetError,
+    ParseError,
     QExpansion,
     discriminant,
     eisenstein_e4,
     eta,
     eta_product,
     klein_j,
-    sigma1,
 )
 from gfano.series import SeriesError, TruncatedSeries
 
@@ -64,12 +65,12 @@ class TestEtaProducts:
     )
     def test_offsets_match_identity_exponents(self, key, offset):
         assert eta_product(ETA_PRODUCTS[key], 10).offset == offset
-        assert F(sigma1(ETA_PRODUCTS[key]), 24) == offset
+        assert F(ETA_PRODUCTS[key].sigma1, 24) == offset
 
     def test_sigma1_values(self):
-        assert sigma1(ETA_PRODUCTS["6+"]) == 12
-        assert sigma1(ETA_PRODUCTS["12+"]) == 2 * 4 + 6 * 4 - 1 - 3 - 4 - 12 == 12
-        assert sigma1(ETA_PRODUCTS["14+"]) == 24
+        assert ETA_PRODUCTS["6+"].sigma1 == 12
+        assert ETA_PRODUCTS["12+"].sigma1 == 2 * 4 + 6 * 4 - 1 - 3 - 4 - 12 == 12
+        assert ETA_PRODUCTS["14+"].sigma1 == 24
 
     def test_product_against_oracle(self):
         # eta_6+ body = Π (1-q^n)(1-q^2n)(1-q^3n)(1-q^6n)
@@ -97,12 +98,12 @@ def fraction_reciprocal(cs):
     return out
 
 
-def naive_eta_body(exponents, order):
+def naive_eta_body(g, order):
     """Π_i Π_n (1 - q^{in})^{a_i} one dilated factor at a time: the
     product_oracle factor for a_i > 0, its Fraction reciprocal for a_i < 0,
     multiplied in by the schoolbook convolution."""
     acc = [1] + [0] * order
-    for i, a in sorted(exponents.items()):
+    for i, a in g.counts:
         factor = product_oracle(order, step=i, power=abs(a))
         if a < 0:
             factor = fraction_reciprocal(factor)
@@ -113,18 +114,18 @@ def naive_eta_body(exponents, order):
 #: Every eta-product the package builds: the 28 M24/S24 frame shapes, the
 #: two-term Hauptmodul quotients, the 12A quotient and the identity products.
 ORACLE_SHAPES = {
-    **{f"shape {g}": dict(g.counts) for g in M24_SHAPES + S24_EXTRA_SHAPES},
-    **{f"quotient {label}": e for label, (e, _, _) in _TWO_TERM.items()},
-    "quotient 12A": {2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6},
-    **{f"product {key}": e for key, e in ETA_PRODUCTS.items()},
+    **{f"shape {g}": g for g in M24_SHAPES + S24_EXTRA_SHAPES},
+    **{f"quotient {label}": f for label, (f, _, _) in _TWO_TERM.items()},
+    "quotient 12A": _QUOTIENT_12A,
+    **{f"product {key}": g for key, g in ETA_PRODUCTS.items()},
 }
 
 
 #: The 28 M24/S24 frame shapes and the five Hauptmodul quotients (the four
 #: two-term ones and 12A), keyed by name for the pinned digests below.
-PINNED_SHAPES = {str(g): dict(g.counts) for g in M24_SHAPES + S24_EXTRA_SHAPES}
-PINNED_QUOTIENTS = {**{label: e for label, (e, _, _) in _TWO_TERM.items()},
-                    "12A": {2: 12, 6: 12, 1: -6, 3: -6, 4: -6, 12: -6}}
+PINNED_SHAPES = {str(g): g for g in M24_SHAPES + S24_EXTRA_SHAPES}
+PINNED_QUOTIENTS = {**{label: f for label, (f, _, _) in _TWO_TERM.items()},
+                    "12A": _QUOTIENT_12A}
 
 # Recorded from the divisor-sum (σ₁) recurrence, before eta-products were
 # built from their pentagonal factors; they pin the bodies bit for bit.
@@ -140,33 +141,35 @@ PINNED_DIGESTS = {
 class TestEtaProductRecurrence:
     @pytest.mark.parametrize("group,order", sorted(PINNED_DIGESTS))
     def test_pinned_digests(self, group, order):
-        exponents = PINNED_SHAPES if group == "shapes" else PINNED_QUOTIENTS
-        got = {name: eta_product(e, order) for name, e in exponents.items()}
+        quotients = PINNED_SHAPES if group == "shapes" else PINNED_QUOTIENTS
+        got = {name: eta_product(g, order) for name, g in quotients.items()}
         assert canonical_sha256(got) == PINNED_DIGESTS[group, order]
 
     @pytest.mark.parametrize("exponents", [
         {1: 2, 2: 0, 3: 1},        # an exponent of 0
-        {2: 0, 4: 3},              # g = 4 once the zero exponent is dropped
+        {2: 0, 4: 3},              # c = 4 once the zero exponent is dropped
         {1: -24},                  # 1/Delta
         {2: -3, 4: 5, 1: -1},      # negative exponents on dilated factors
-        {3: -2, 6: 4, 9: -1},      # g = 3, a quotient
-        {5: 3, 40: 2},             # g = 5, one cycle longer than the order
-        {2: 12},                   # the shape 2^12, g = 2
-        {12: 2},                   # the shape 12^2, g = 12
+        {3: -2, 6: 4, 9: -1},      # c = 3, a quotient
+        {5: 3, 40: 2},             # c = 5, one cycle longer than the order
+        {2: 12},                   # the shape 2^12, c = 2
+        {12: 2},                   # the shape 12^2, c = 12
     ])
     def test_edge_cases_against_naive_product(self, exponents):
-        expected = naive_eta_body(exponents, 30)
+        g = EtaQuotient.from_counts(exponents)
+        expected = naive_eta_body(g, 30)
         for order in (1, 2, 3, 7, 30):
-            got = eta_product(exponents, order)
-            assert got.offset == F(sigma1(exponents), 24)
+            got = eta_product(g, order)
+            assert got.offset == F(g.sigma1, 24)
             assert got.body == TruncatedSeries(expected[: order + 1], order), order
 
     def test_only_cycles_longer_than_the_order(self):
-        got = eta_product({30: 5, 45: -1}, 20)
+        got = eta_product(EtaQuotient.parse("30^5 45^-1"), 20)
         assert got == QExpansion(F(105, 24), TruncatedSeries.one(20))
 
     def test_no_exponents_is_one(self):
-        assert eta_product({}, 5) == eta_product({1: 0, 7: 0}, 5) == QExpansion.constant(1, 5)
+        assert EtaQuotient.from_counts({1: 0, 7: 0}) == EtaQuotient.from_counts({}) == ((),)
+        assert eta_product(EtaQuotient.from_counts({}), 5) == QExpansion.constant(1, 5)
 
     def test_validation_runs_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -174,34 +177,57 @@ class TestEtaProductRecurrence:
 
         monkeypatch.setattr(qexp, "_eta_power", no_work)
         with pytest.raises(TypeError):
-            eta_product({1: 24, 2: F(1, 2)}, 50)
+            eta_product(EtaQuotient.from_counts({1: 24, 2: F(1, 2)}), 50)
+        with pytest.raises(ParseError):
+            eta_product(EtaQuotient.from_counts({1: 24, 0: 1}), 50)
         with pytest.raises(SeriesError):
-            eta_product({1: 24, 0: 1}, 50)
-        with pytest.raises(SeriesError):
-            eta_product({1: 24}, 0)
+            eta_product(EtaQuotient.parse("1^24"), 0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
     def test_against_naive_product(self, name):
-        exponents = ORACLE_SHAPES[name]
-        expected = naive_eta_body(exponents, 100)
+        g = ORACLE_SHAPES[name]
+        expected = naive_eta_body(g, 100)
         for order in (1, 2, 5, 100):
-            got = eta_product(exponents, order)
-            assert got.offset == F(sigma1(exponents), 24)
+            got = eta_product(g, order)
+            assert got.offset == F(g.sigma1, 24)
             assert got.body == TruncatedSeries(expected[: order + 1], order), order
 
     def test_cycle_longer_than_the_order(self):
-        assert eta_product({1: 1, 30: 5}, 20) == eta_product({1: 1}, 20) * QExpansion(
+        assert eta_product(EtaQuotient.parse("1 30^5"), 20) == eta_product(
+            EtaQuotient.parse("1"), 20) * QExpansion(
             F(150, 24), TruncatedSeries.one(20))
 
     @pytest.mark.parametrize("a", [F(1, 2), F(3), 1.0])
     def test_non_integer_exponent_is_type_error(self, a):
         with pytest.raises(TypeError):
-            eta_product({1: 1, 2: a}, 10)
+            EtaQuotient.from_counts({1: 1, 2: a})
 
     @pytest.mark.parametrize("i", [0, -2])
-    def test_cycle_length_below_one_is_series_error(self, i):
-        with pytest.raises(SeriesError):
-            eta_product({1: 1, i: 1}, 10)
+    def test_cycle_length_below_one_is_parse_error(self, i):
+        with pytest.raises(ParseError, match="cycle lengths must be positive"):
+            EtaQuotient.from_counts({1: 1, i: 1})
+
+
+class TestEtaQuotient:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
+    def test_parse_round_trip(self, name):
+        g = ORACLE_SHAPES[name]
+        assert EtaQuotient.parse(str(g)) == g
+
+    @pytest.mark.parametrize("text", [str(g) for g in M24_SHAPES + S24_EXTRA_SHAPES])
+    def test_frame_shape_is_its_eta_quotient(self, text):
+        g, q = FrameShape.parse(text), EtaQuotient.parse(text)
+        assert type(g) is FrameShape and type(q) is EtaQuotient
+        assert g == q and hash(g) == hash(q)
+
+    @pytest.mark.parametrize("cls", [EtaQuotient, FrameShape])
+    @pytest.mark.parametrize("counts", [
+        {1: 24.0}, {1: F(24)}, {1.0: 24}, {F(3, 2): 16}, {1: 8, F(2): 8},
+    ], ids=["float r", "Fraction r", "float delta", "Fraction delta",
+            "integral Fraction delta"])
+    def test_non_integer_counts_are_type_errors(self, cls, counts):
+        with pytest.raises(TypeError):
+            cls.from_counts(counts)
 
 
 class TestEisensteinDelta:

@@ -16,6 +16,7 @@ from gfano.mathieu import (
     hecke_eigenform_check,
 )
 from gfano.periods import FamilyDescriptor
+from gfano.qexp import EtaQuotient
 from gfano.verify import IdentityReport, verify_identity
 
 #: Each record type with a function that builds a fresh instance of it.
@@ -24,6 +25,7 @@ MAKERS = {
     FamilyDescriptor: lambda: FamilyDescriptor(
         "Y30", 15, 30, 3, 1, None, 1, "15A", "15+", "L15"),
     IdentityReport: lambda: verify_identity("Y24", 4, 7, 6),
+    EtaQuotient: lambda: EtaQuotient.parse("2^4 6^4 1^-1 3^-1 4^-1 12^-1"),
     FrameShape: lambda: FrameShape.parse("1^2 2^2 3^2 6^2"),
     FixedPointEntry: lambda: frobenius_mukai_check()["entries"][5],
     HeckeReport: lambda: hecke_eigenform_check(FrameShape.parse("1^24"), 12, 5),
@@ -38,6 +40,7 @@ FIELDS = {
     FamilyDescriptor: "key N degree rho index shift c_minus_s hauptmodul eta "
                       "d3_operator",
     IdentityReport: "name family s c order ok first_mismatch",
+    EtaQuotient: "counts",
     FrameShape: "counts",
     FixedPointEntry: "shape order fixed_points epsilon cycles iota ok",
     HeckeReport: "shape weight level bound prime_bound multiplicative_pairs "
