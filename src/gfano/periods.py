@@ -52,7 +52,8 @@ class UnknownFamily(KeyError):
 
 
 class FreeShift(ValueError):
-    """G-series requested for a family without a pinned shift."""
+    """G-series requested for Y28, whose I-series is the L14 solution
+    itself, so it has no G-series of its own."""
 
 
 class FamilyDescriptor(NamedTuple):
@@ -228,7 +229,8 @@ def gseries(key: str, order: int) -> TruncatedSeries:
     """G = exp(-s t) · L⁻¹(I) = L⁻¹(normalize(I)), s the linear coefficient
     of I; constant term 1 and zero linear term."""
     if key == "Y28":
-        raise FreeShift("Y28 has no pinned shift; its I-series is defined directly")
+        raise FreeShift("Y28 has no independent G-series: its I-series is the "
+                        "solution of L14")
     return inverse_laplace(normalize(iseries(key, order)))
 
 

@@ -17,8 +17,9 @@ Delta = 1^24, the Hauptmodul quotients of `hauptmodul` and, through the
 
 The eta body E is generated by the pentagonal-number theorem.  Any other
 eta-product or eta-quotient body is a product of dilated powers E(q^c)^a,
-each from Miller's integer recurrence over the sparse pentagonal terms of
-E (see `eta_product`); nothing is inverted on the way.  The naive
+each from Miller's integer recurrence (`series._miller`, shared with
+`pow_rational`) over the sparse pentagonal terms of E (see
+`eta_product`); nothing is inverted on the way.  The naive
 truncated product is kept in the test-suite as an independent oracle for
 both.
 """
@@ -36,6 +37,7 @@ from .series import (
     TruncatedSeries,
     _convolve,
     _frac,
+    _miller,
     _terms,
 )
 
@@ -238,38 +240,15 @@ class EtaQuotient(NamedTuple):
         return " ".join(f"{i}^{a}" for i, a in self.counts)
 
 
-def _eta_power(a: int, order: int) -> list:
-    """Π (1 - q^n)^a through q^order by J.C.P. Miller's recurrence on the
-    pentagonal body E: f_0 = 1 and n·f_n = Σ_k ((a+1)k − n)·E_k·f_(n−k).
-
-    This is q·f'/f = a·q·E'/E with E cleared, so the sum runs over the
-    ~2√(2n/3) nonzero E_k only.  The f_n are integers (E_0 = 1), so every
-    division by n is exact.
-    """
-    nz_e = _terms(_eta_body_coeffs(order), order)[1:]
-    f = [1]
-    for n in range(1, order + 1):
-        acc = 0
-        for k, ek in nz_e:
-            if k > n:
-                break
-            acc += ((a + 1) * k - n) * ek * f[n - k]
-        fn, rem = divmod(acc, n)
-        if rem:
-            raise SeriesError(f"eta power coefficient q^{n} is not an integer")
-        f.append(fn)
-    return f
-
-
 def eta_product(g: EtaQuotient, order: int) -> QExpansion:
     """Π_δ η(q^δ)^{r_δ} as a QExpansion with offset σ₁/24.
 
     With c the gcd of the cycle lengths, the body is F(q^c) for
     F = Π_δ E(q^(δ/c))^{r_δ} and E the pentagonal body, so F is built
     through q^(K//c) and spread.  Each factor E^{r_δ} comes from Miller's
-    recurrence on the sparse E (`_eta_power`) through q^(K//δ) and is
-    dilated by δ/c; the factors are multiplied sparsest first, so the
-    dilated ones meet each other before the dense ones.
+    recurrence (`series._miller`, with m = d = 1) on the sparse E through
+    q^(K//δ) and is dilated by δ/c; the factors are multiplied sparsest
+    first, so the dilated ones meet each other before the dense ones.
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
@@ -277,7 +256,8 @@ def eta_product(g: EtaQuotient, order: int) -> QExpansion:
     top = order // c
     # E(q^(δ/c))^r through q^top, as the nonzero terms of E^r through q^(K//δ)
     factors = sorted(
-        ([(i // c * n, x) for n, x in enumerate(_eta_power(a, order // i)) if x]
+        ([(i // c * n, x) for n, x in
+          enumerate(_miller(_eta_body_coeffs(order // i), 1, a, 1, order // i)) if x]
          for i, a in g.counts),
         key=len,
     )

@@ -27,8 +27,8 @@ the end:
     A∘v       rectangular splitting (Paterson-Stockmeyer): baby powers v^0 ..
               v^b, b = isqrt(len A), blocks P_j = Σ_i A_(jb+i)·v^i as scalar
               combinations of them, and _horner over v^b; about 2√K products
-    A^(u/m)   Miller's recurrence on G_n = n!·(mD)^n·p_n (see pow_rational),
-              divided by n!·(mD)^n
+    A^(u/m)   Miller's recurrence on P_n = (m²D)^n·p_n over the nonzero A_j
+              (_miller), divided by (m²D)^n; eta_product runs it on integers
     rev A     Lagrange inversion, [t^(n-1)] W^n of t/A = W/d from baby steps
               W^i and giant steps W^(jm) (see reverse), divided by n·d^n
     shift     the binomial transform below, over A = A/D and s = p/q
@@ -137,6 +137,33 @@ def _horner(polys: Sequence[Sequence[int]], v: Sequence[int], e: int,
         for n, x in enumerate(p[: k + 1]):
             acc[n] += x * e_power
     return acc, e_power
+
+
+def _miller(a: Sequence[int], d: int, u: int, m: int, k: int) -> list[int]:
+    """(a/d)^(u/m) through t^k for numerators a with a[0] == d: the integers
+    P_n = (m²d)^n·p_n, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    §4.7) over the nonzero a_j only,
+
+        m·n·P_n = Σ_j ((u+m)j − mn)·a_j·m^(2j)·d^(j−1)·P_(n−j).
+
+    m^(2n)·C(u/m, n) is an integer and p_n lies in d^(−n)·Z[1/m], so each
+    division by m·n is exact; a remainder raises SeriesError.
+    """
+    s = m * m
+    w = [(j, (u + m) * j, x * s ** j * d ** (j - 1)) for j, x in _terms(a, k)[1:]]
+    p = [1]
+    for n in range(1, k + 1):
+        mn = m * n
+        acc = 0
+        for j, uj, x in w:
+            if j > n:
+                break
+            acc += (uj - mn) * x * p[n - j]
+        pn, rem = divmod(acc, mn)
+        if rem:
+            raise SeriesError(f"Miller power coefficient t^{n} is not an integer")
+        p.append(pn)
+    return p
 
 
 class TruncatedSeries:
@@ -392,32 +419,21 @@ class TruncatedSeries:
     def pow_rational(self, e: Rational) -> "TruncatedSeries":
         """Binomial series (1 + x)^e with x = self - 1; needs constant term 1.
 
-        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, §4.7),
-        n·p_n = Σ_{k=1..n} ((e+1)k − n)·a_k·p_(n−k), run on integers.  With
-        e = u/m and self = A/D, the values G_n = n!·(mD)^n·p_n obey G_0 = 1 and
-
-            G_n = Σ_{k=1..n} ((u+m)k − mn)·A_k·G_(n−k)·(n−1)!/(n−k)!·(mD)^(k−1),
-
-        summed by Horner in k so that every step multiplies a big int by a
-        small one; p_n = G_n/(n!·(mD)^n) is one reduced Fraction.
+        With e = u/m and self = A/D, `_miller` gives the integers
+        P_n = (m²D)^n·p_n, and p_n = P_n/(m²D)^n is one reduced Fraction.
         """
         if self.coeffs[0] != 1:
             raise NonUnitConstant("rational powers need constant term exactly 1")
         e = _frac(e)
-        u, m = e.numerator, e.denominator
+        m = e.denominator
         k = self.order
         a, d = _scaled(self.coeffs, k)
-        md = m * d
-        big_g = [1]
-        out = [Fraction(1)]
+        step = m * m * d
+        out = []
         scale = 1
-        for n in range(1, k + 1):
-            acc = 0
-            for j in range(n, 0, -1):
-                acc = acc * (n - j) * md + ((u + m) * j - m * n) * a[j] * big_g[n - j]
-            big_g.append(acc)
-            scale *= n * md
-            out.append(Fraction(acc, scale))
+        for pn in _miller(a, d, e.numerator, m, k):
+            out.append(Fraction(pn, scale))
+            scale *= step
         return TruncatedSeries(out, k)
 
 

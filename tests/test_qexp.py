@@ -53,8 +53,9 @@ class TestEta:
         assert d.offset == 1
         assert [int(c) for c in d.body.coeffs[:4]] == [1, -24, 252, -1472]
         assert [int(c) for c in d.body.coeffs] == product_oracle(40, power=24)
-        # discriminant() is Miller's recurrence on the same pentagonal body,
-        # so the naive product above is the independent check on both
+        # discriminant() is series._miller, the recurrence pow_rational runs
+        # too, on the same pentagonal body, so the naive product above is
+        # the independent check on both
         assert discriminant(40) == d
 
 
@@ -175,7 +176,7 @@ class TestEtaProductRecurrence:
         def no_work(*args):
             raise AssertionError("an eta power was built before the exponents were checked")
 
-        monkeypatch.setattr(qexp, "_eta_power", no_work)
+        monkeypatch.setattr(qexp, "_miller", no_work)
         with pytest.raises(TypeError):
             eta_product(EtaQuotient.from_counts({1: 24, 2: F(1, 2)}), 50)
         with pytest.raises(ParseError):

@@ -475,8 +475,9 @@ class TestPowRational:
 
 
 class TestIntegerPower:
-    """pow_rational runs Miller's recurrence on n!·(mD)^n·p_n; the oracle runs
-    it on Fractions."""
+    """pow_rational runs Miller's recurrence on the integers (m²D)^n·p_n
+    (series._miller, shared with eta_product); the oracle runs it on
+    Fractions."""
 
     @settings(max_examples=60)
     @given(unit_series_strategy(), exponents)
@@ -485,10 +486,14 @@ class TestIntegerPower:
         assert got == miller_power(a, e)
         assert all_fractions(got)
 
-    @pytest.mark.parametrize("e", [F(-7, 8), F(5, 6), F(-1, 3), F(3, 2), F(-24, 7)])
+    @pytest.mark.parametrize("e", [F(-7, 8), F(5, 6), F(-1, 3), F(3, 2), F(-24, 7),
+                                   F(7, 9), F(-5, 12), F(11, 16), F(-13, 16)])
     def test_mixed_denominators(self, e):
-        a = series(1, F(1, 3), F(-5, 7), F(2, 9), 4, F(-11, 12), 0, F(3, 8))
-        assert a.pow_rational(e) == miller_power(a, e)
+        short = series(1, F(1, 3), F(-5, 7), F(2, 9), 4, F(-11, 12), 0, F(3, 8))
+        # order 36, denominators up to 16, three zero terms
+        long = S([1] + [F(7 * n % 11 - 5, n % 16 + 1) for n in range(1, 37)])
+        for a in (short, long):
+            assert a.pow_rational(e) == miller_power(a, e)
 
     @settings(max_examples=20)
     @given(unit_series_strategy())
