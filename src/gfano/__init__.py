@@ -29,12 +29,11 @@ _EXPORTS = {
         ("series", "TruncatedSeries laplace inverse_laplace regular_shift normalize"),
         ("qexp", "QExpansion EtaQuotient ETA_PRODUCTS eta eta_product eisenstein_e4 "
                  "discriminant klein_j"),
-        ("d3", "D3Operator OPERATORS from_a_basis apply_operator apply_operator_in "
-               "holomorphic_solution"),
+        ("d3", "D3Operator OPERATORS apply_operator apply_operator_in holomorphic_solution"),
         ("periods", "FAMILIES FamilyDescriptor family iseries gseries givental_constant"),
-        ("hauptmodul", "hauptmodul hauptmodul_json renormalize_constant inverse_hauptmodul "
-                       "mirror_map solve_hauptmodul_from_identity"),
-        ("verify", "IdentityReport m_series verify_identity sweep_free_shift "
+        ("hauptmodul", "hauptmodul renormalize_constant inverse_hauptmodul mirror_map "
+                       "solve_hauptmodul_from_identity"),
+        ("verify", "IdentityReport verify_identity sweep_free_shift "
                    "verify_kachru_vafa verify_delta verify_all check_exp_relation"),
         ("mathieu", "FrameShape M23_SHAPES M24_EXTRA_SHAPES M24_SHAPES S24_EXTRA_SHAPES "
                     "phi psi epsilon iota rational_type frobenius_mukai_check mason_eta "

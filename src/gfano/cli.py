@@ -27,10 +27,10 @@ from .series import normalize
 from .verify import SCHEMA
 
 #: Largest accepted --order.  The exact checks cost about the cube of the
-#: order.  At order 500 on a 2-vCPU x86 VM one identity takes about 1 s
-#: (Y24) to 5 s (Y30, whose triple-sum I-series dominates), and the
-#: battery, pooled from POOL_MIN_ORDER up, about 8 s; each doubling
-#: multiplies that by six to twelve.
+#: order.  At order 500 on a 2-vCPU x86 VM one identity (Y24 or Y30)
+#: takes about 1 s and the battery, pooled from POOL_MIN_ORDER up, about
+#: 3.5 s; each doubling multiplies that by four to eight (Y30: 0.28 s at
+#: order 250, 1.0-1.5 s at 500, 7.6 s at 1000).
 MAX_ORDER = 1000
 
 #: Smallest --order at which `verify --family ALL` runs the battery in a
@@ -62,8 +62,8 @@ def _order(text: str) -> int:
     if order > MAX_ORDER:
         raise SystemExit2(
             f"--order {order} is above {MAX_ORDER}; the exact checks cost "
-            "about order^3 (the battery takes some 8 s at order 500, six to "
-            "twelve times that per doubling)")
+            "about order^3 (the battery takes some 3.5 s at order 500, four "
+            "to eight times that per doubling)")
     return order
 
 

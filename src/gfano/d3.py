@@ -34,11 +34,6 @@ The catalog below lists the seven operators whose solutions are the
 normalized quantum periods of the G-Fano threefolds.  L1 belongs to the
 sextic double solid X6: it is θ³ − 8t(6θ+1)(6θ+3)(6θ+5), the operator
 of Σ (6n)!/((3n)! n!³) t^n, moved by the regular shift −120.
-
-The parameters also come in an alternate a-basis related over Z by
-
-    b1 = a11, b2 = a12 + 2 a01 - a11², b3 = a01,
-    b4 = a02 - a01 a11, b5 = a03 - a01².
 """
 
 from __future__ import annotations
@@ -79,33 +74,12 @@ class D3Operator(_Parameters):
         return super().__new__(cls, _frac(b1), _frac(b2), _frac(b3),
                                _frac(b4), _frac(b5))
 
-    def to_a_basis(self) -> tuple:
-        """(a01, a02, a03, a11, a12) of the same operator."""
-        a01 = self.b3
-        a02 = self.b4 + self.b1 * self.b3
-        a03 = self.b5 + self.b3 ** 2
-        a11 = self.b1
-        a12 = self.b2 - 2 * self.b3 + self.b1 ** 2
-        return (a01, a02, a03, a11, a12)
-
     def to_json(self) -> dict:
         return {"b": [str(b) for b in (self.b1, self.b2, self.b3, self.b4, self.b5)]}
 
     @classmethod
     def from_json(cls, data: dict) -> "D3Operator":
         return cls(*[Fraction(b) for b in data["b"]])
-
-
-def from_a_basis(a01: Rational, a02: Rational, a03: Rational,
-                 a11: Rational, a12: Rational) -> D3Operator:
-    a01, a02, a03, a11, a12 = map(_frac, (a01, a02, a03, a11, a12))
-    return D3Operator(
-        b1=a11,
-        b2=a12 + 2 * a01 - a11 ** 2,
-        b3=a01,
-        b4=a02 - a01 * a11,
-        b5=a03 - a01 ** 2,
-    )
 
 
 #: The seven operators annihilating the normalized G-Fano quantum periods.

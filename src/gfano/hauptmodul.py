@@ -196,7 +196,3 @@ def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QEx
     h = _eta_route(label, order)
     return h if c is None else renormalize_constant(h, c)
 
-
-def hauptmodul_json(label: str, c: Optional[Rational] = None, order: int = 60) -> dict:
-    """q-expansion JSON with the label attached."""
-    return {"label": label, **hauptmodul(label, c, order).to_json()}

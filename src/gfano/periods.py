@@ -11,11 +11,21 @@ order (C(2j,j) from its own recurrence):
     Y12_2  i_k = C(2k,k) Σ_a C(k,a)^3
     Y12_3  i_k = C(2k,k) Σ multinomial(k;a,b,c)^2 = C(2k,k) Σ_j C(k,j)^2 C(2j,j)
     Y30    i_k = Σ_{a+b+c=k} (a+b)!(a+c)!(b+c)!k! / (a!b!c!)^3
-               = Σ_{a+b+c=k} C(a+b,a) C(a+c,a) C(b+c,b) C(k,a) C(k-a,b)
+               = Σ_a C(k,a) S(a,k-a),  S(a,m) = Σ_b C(m,b)^2 C(a+b,a) C(a+m-b,a)
     X6     i_k = (6k)! / ((3k)! k!^3)
 
 (Grouping the multinomial by the first j parts gives the Y24 and Y12_3
-forms; Y30's sum is symmetric in a, b, c and runs over a <= b <= c.)
+forms.  In Y30's triple sum c = m − b for m = k − a, so both C(b+c,b)
+and C(k−a,b) are C(m,b).)  For each a, S runs along m by the
+creative-telescoping recurrence of its binomial sum (Petkovšek, Wilf &
+Zeilberger, *A = B*, 1996), from S(a,0) = 1 and S(a,1) = 2(a+1):
+
+    (m+2)³·S(a,m+2) = (7am² + 21am + 16a + 5m³ + 26m² + 45m + 26)·S(a,m+1)
+                      + 2(m+1)(2a−2m−1)(2a+m+2)·S(a,m)
+
+so the series costs O(K²) big-int steps, not the triple sum's O(K³).
+The recurrence comes from the sum, not from L15, so the identity rows'
+check that normalize(I) solves L15 still tests every coefficient.
 
 Y28 has no closed hypergeometric form; its I-series is defined as the
 analytic solution of the operator L14 (it already has zero linear term).
@@ -41,6 +51,7 @@ from typing import Dict, NamedTuple, Optional, Union
 from . import d3
 from .qexp import ETA_PRODUCTS
 from .series import (
+    SeriesError,
     TruncatedSeries,
     inverse_laplace,
     normalize,
@@ -154,22 +165,26 @@ def _central(n: int) -> list:
     return out
 
 
-def _y30_coeff(rows: list, k: int) -> int:
-    """Σ_{a+b+c=k} C(a+b,a)·C(a+c,a)·C(b+c,b)·C(k,a)·C(k-a,b), summed over
-    a <= b <= c and weighted by the number of distinct permutations."""
-    total = 0
-    for a in range(k // 3 + 1):
-        for b in range(a, (k - a) // 2 + 1):
-            c = k - a - b
-            term = (rows[a + b][a] * rows[a + c][a] * rows[b + c][b]
-                    * rows[k][a] * rows[k - a][b])
-            if a == b == c:
-                total += term
-            elif a == b or b == c:
-                total += 3 * term
-            else:
-                total += 6 * term
-    return total
+def _y30_coeffs(rows: list, order: int) -> list:
+    """i_0..i_order of Y30 as Σ_a C(k,a)·S(a,k−a), each S(a, ·) from the
+    module docstring's recurrence; a division that leaves a remainder
+    raises SeriesError."""
+    out = [0] * (order + 1)
+    for a in range(order + 1):
+        s0, s1 = 1, 2 * (a + 1)
+        out[a] += s0
+        if a < order:
+            out[a + 1] += rows[a + 1][a] * s1
+        for m in range(order - a - 1):
+            acc = ((7 * a * m * m + 21 * a * m + 16 * a
+                    + 5 * m ** 3 + 26 * m * m + 45 * m + 26) * s1
+                   + 2 * (m + 1) * (2 * a - 2 * m - 1) * (2 * a + m + 2) * s0)
+            s2, rem = divmod(acc, (m + 2) ** 3)
+            if rem:
+                raise SeriesError(f"Y30 sum S({a}, {m + 2}) is not an integer")
+            out[a + m + 2] += rows[a + m + 2][a] * s2
+            s0, s1 = s1, s2
+    return out
 
 
 def _closed_form_coeffs(key: str, order: int) -> list:
@@ -181,7 +196,7 @@ def _closed_form_coeffs(key: str, order: int) -> list:
     if key == "Y20":
         return [sum(x ** 4 for x in row) for row in rows]
     if key == "Y30":
-        return [_y30_coeff(rows, k) for k in range(order + 1)]
+        return _y30_coeffs(rows, order)
     central = _central(order)
     if key == "Y24":
         return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))

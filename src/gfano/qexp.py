@@ -247,20 +247,22 @@ def eta_product(g: EtaQuotient, order: int) -> QExpansion:
     F = Π_δ E(q^(δ/c))^{r_δ} and E the pentagonal body, so F is built
     through q^(K//c) and spread.  Each factor E^{r_δ} comes from Miller's
     recurrence (`series._miller`, with m = d = 1) on the sparse E through
-    q^(K//δ) and is dilated by δ/c; the factors are multiplied sparsest
-    first, so the dilated ones meet each other before the dense ones.
+    q^(K//δ), or is E itself for r_δ = 1, and is dilated by δ/c; the
+    factors are multiplied sparsest first, so the dilated ones meet each
+    other before the dense ones.
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
     c = gcd(*(i for i, _ in g.counts)) or 1
     top = order // c
     # E(q^(δ/c))^r through q^top, as the nonzero terms of E^r through q^(K//δ)
-    factors = sorted(
-        ([(i // c * n, x) for n, x in
-          enumerate(_miller(_eta_body_coeffs(order // i), 1, a, 1, order // i)) if x]
-         for i, a in g.counts),
-        key=len,
-    )
+    factors = []
+    for i, a in g.counts:
+        e = _eta_body_coeffs(order // i)
+        if a != 1:
+            e = _miller(e, 1, a, 1, order // i)
+        factors.append([(i // c * n, x) for n, x in enumerate(e) if x])
+    factors.sort(key=len)
     nz_f = [(0, 1)]
     for nz in factors:
         nz_f = _terms(_convolve(nz_f, nz, top), top)

@@ -462,9 +462,11 @@ def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
     a = A/D and s = p/q, b_n·D·q^n = Σ_k C(n,k)·p^(n-k)·q^k·A_k is index 0
     of the n-th pass of Pascal's rule x_i <- p·x_i + q·x_(i+1) over A, a
     list that shortens by one per pass; the loop multiplies the numerators
-    by the small ints p and q only.
+    by the small ints p and q only.  A zero shift returns a itself.
     """
     s = _frac(s)
+    if not s:
+        return a
     p, q = s.numerator, s.denominator
     k = a.order
     row, d = _scaled(a.coeffs, k)

@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import d3, periods
-from .hauptmodul import hauptmodul, inverse_hauptmodul, mirror_map
+from .hauptmodul import hauptmodul, inverse_hauptmodul
 from .periods import EVEN_REDUCTION, FamilyDescriptor, family, gseries, iseries
 from .qexp import (
     ETA_PRODUCTS,
@@ -204,29 +204,6 @@ def sweep_free_shift(
         free = ", ".join(k for k, f in periods.FAMILIES.items() if f.shift is None)
         raise NotFreeShift(f"{key} has a pinned shift; sweep applies to {free}")
     return [verify_identity(key, s, order=order) for s in s_range]
-
-
-def m_series(
-    key: str,
-    s: Optional[int] = None,
-    c: Optional[int] = None,
-    order: int = DEFAULT_ORDER,
-) -> TruncatedSeries:
-    """The power series solving the functional equation, built from the
-    modular side alone.
-
-    Composing the right-hand side eta·H^{σ₁/24} with the mirror map q(t)
-    (the inverse of t = 1/H) produces the unique power series M with
-    M(1/H) = eta·H^{σ₁/24}.  The suite checks that M coincides with the
-    regular-shifted I-series and that its normalization solves the
-    family's D3 operator -- the two sides of the equivalence, each
-    computed without reference to the other.
-    """
-    fam = family(key)
-    if key in EVEN_REDUCTION:
-        raise ValueError("index-2 families reduce to their index-1 partners")
-    _, _, h, rhs = _modular_side(fam, s, c, order, iseries(key, order))
-    return rhs.compose(mirror_map(h, order))
 
 
 @lru_cache(maxsize=4)

@@ -13,7 +13,6 @@ from gfano.hauptmodul import (
     UnknownLabel,
     WrongOffset,
     hauptmodul,
-    hauptmodul_json,
     inverse_hauptmodul,
     mirror_map,
     renormalize_constant,
@@ -97,12 +96,6 @@ class TestEtaQuotientRoutes:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             hauptmodul("7B", order=5)
-
-    def test_json_carries_label(self):
-        data = hauptmodul_json("12A", order=4)
-        assert data["label"] == "12A"
-        assert data["offset"] == "-24/24"
-        assert data["coeffs"][:3] == ["1", "6", "15"]
 
 
 class Test6ASolver:

@@ -21,12 +21,11 @@ PUBLIC = {
     "series": "TruncatedSeries laplace inverse_laplace regular_shift normalize",
     "qexp": "QExpansion EtaQuotient ETA_PRODUCTS eta eta_product eisenstein_e4 "
             "discriminant klein_j",
-    "d3": "D3Operator OPERATORS from_a_basis apply_operator apply_operator_in "
-          "holomorphic_solution",
+    "d3": "D3Operator OPERATORS apply_operator apply_operator_in holomorphic_solution",
     "periods": "FAMILIES FamilyDescriptor family iseries gseries givental_constant",
-    "hauptmodul": "hauptmodul hauptmodul_json renormalize_constant inverse_hauptmodul "
-                  "mirror_map solve_hauptmodul_from_identity",
-    "verify": "IdentityReport m_series verify_identity sweep_free_shift "
+    "hauptmodul": "hauptmodul renormalize_constant inverse_hauptmodul mirror_map "
+                  "solve_hauptmodul_from_identity",
+    "verify": "IdentityReport verify_identity sweep_free_shift "
               "verify_kachru_vafa verify_delta verify_all check_exp_relation",
     "mathieu": "FrameShape M23_SHAPES M24_EXTRA_SHAPES M24_SHAPES S24_EXTRA_SHAPES "
                "phi psi epsilon iota rational_type frobenius_mukai_check mason_eta "
@@ -131,5 +130,5 @@ def test_star_import_binds_every_public_name():
 
 def test_public_names_are_unchanged():
     names = probe("import json, gfano; print(json.dumps(gfano.__all__))")
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 50
     assert set(names) == set(NAME_TO_MODULE)

@@ -80,6 +80,20 @@ def brute_force_coefficient(key, k):
     raise KeyError(key)
 
 
+def y30_triple_sum(k):
+    """Y30's i_k as the triple sum Σ_{a+b+c=k} C(a+b,a)·C(a+c,a)·C(b+c,b)·
+    C(k,a)·C(k-a,b), over a <= b <= c and weighted by the number of
+    distinct permutations: the oracle of the generator's recurrence."""
+    total = 0
+    for a in range(k // 3 + 1):
+        for b in range(a, (k - a) // 2 + 1):
+            c = k - a - b
+            term = (comb(a + b, a) * comb(a + c, a) * comb(b + c, b)
+                    * comb(k, a) * comb(k - a, b))
+            total += term * (1 if a == b == c else 3 if a == b or b == c else 6)
+    return total
+
+
 def exp_power_form(key, order):
     """The generators as k!^m [t^k] (Σ t^a/a!^m)^p, the power form the
     binomial sums replaced."""
@@ -145,6 +159,10 @@ class TestISeries:
         got = iseries(key, 12)
         for k in range(13):
             assert got.coeffs[k] == brute_force_coefficient(key, k), (key, k)
+
+    def test_y30_recurrence_against_triple_sum(self):
+        assert list(iseries("Y30", 40).coeffs) == [y30_triple_sum(k) for k in range(41)]
+        assert iseries("Y30", 120).coeffs[120] == y30_triple_sum(120)
 
     @pytest.mark.parametrize("key", ["Y20", "Y24", "Y12_3"])
     def test_against_exp_power_form_to_60(self, key):

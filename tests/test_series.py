@@ -559,6 +559,12 @@ class TestRegularShiftAndNormalize:
         a = series(2, 3, 5, 7)
         assert regular_shift(a, 0) == a
 
+    @pytest.mark.parametrize("s", [0, F(0)])
+    def test_zero_shift_returns_its_argument(self, s):
+        # the series is immutable, so a zero shift runs no Pascal pass
+        a = series(2, F(3, 7), 5, F(-1, 4))
+        assert regular_shift(a, s) is a
+
     def test_shift_inverts(self):
         a = series(1, 4, 28, 256, 2716)
         assert regular_shift(regular_shift(a, 5), -5) == a
