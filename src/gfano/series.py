@@ -10,17 +10,19 @@ outer term starts at t^((K_out+1)·v).
 Equality is strict: two series are equal when they have the same order
 and the same coefficients; `agrees_to` compares a prefix explicitly.
 
-Products, reciprocals, compositions, reversion and rational powers run
-on one integer core.  A coefficient slice is scaled by the lcm of its
-denominators into a list of integer numerators over one common
-denominator (`_scaled`); the loops then multiply and add Python ints
-only, and each output coefficient is built as one reduced Fraction at
-the end:
+Products, reciprocals, integer and rational powers, compositions and
+reversion run on one integer core.  A coefficient slice is scaled by the
+lcm of its denominators into a list of integer numerators over one
+common denominator (`_scaled`); the loops then multiply and add Python
+ints only, and each output coefficient is built as one reduced Fraction
+at the end:
 
     A·B       numerators convolved over the sparser operand's nonzero terms,
               divided by da·db
-    1/A       B_0 = 1, B_n = -Σ_i a_i·a_0^(i-1)·B_(n-i), and
-              (1/A)_n = d·B_n / a_0^(n+1)
+    1/A       _miller at exponent −1 on a/a_0: B_0 = 1,
+              B_n = −Σ_i a_i·a_0^(i−1)·B_(n−i), and (1/A)_n = d·B_n / a_0^(n+1)
+    A^n       A = t^v·(a_0/d)·(a/a_0), so A^n = t^(vn)·(a_0/d)^n·(a/a_0)^n,
+              the last factor _miller's P_j/a_0^j; no repeated products
     ΣP_j·v^j  Horner on int lists (_horner): R_m = P_m, R_j = R_(j+1)·v +
               P_j·E^(m-j), over E^m (inner v = v/E); d3.apply_operator_in
               takes P_j(θ_t) f
@@ -147,11 +149,23 @@ def _miller(a: Sequence[int], d: int, u: int, m: int, k: int) -> list[int]:
         m·n·P_n = Σ_j ((u+m)j − mn)·a_j·m^(2j)·d^(j−1)·P_(n−j).
 
     m^(2n)·C(u/m, n) is an integer and p_n lies in d^(−n)·Z[1/m], so each
-    division by m·n is exact; a remainder raises SeriesError.
+    division by m·n is exact; a remainder raises SeriesError.  At u = −m
+    every weight is −mn, so the step is P_n = −Σ_j a_j·m^(2j)·d^(j−1)·P_(n−j)
+    with no weight product and no division.
     """
     s = m * m
-    w = [(j, (u + m) * j, x * s ** j * d ** (j - 1)) for j, x in _terms(a, k)[1:]]
+    w = [(j, x * s ** j * d ** (j - 1)) for j, x in _terms(a, k)[1:]]
     p = [1]
+    if u == -m:
+        for n in range(1, k + 1):
+            acc = 0
+            for j, x in w:
+                if j > n:
+                    break
+                acc += x * p[n - j]
+            p.append(-acc)
+        return p
+    w = [(j, (u + m) * j, x) for j, x in w]
     for n in range(1, k + 1):
         mn = m * n
         acc = 0
@@ -312,40 +326,40 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires nonzero constant term."""
-        if not self.coeffs[0]:
-            raise ZeroConstantTerm("cannot divide by a series with zero constant term")
-        k = self.order
-        a, d = _scaled(self.coeffs, k)
-        a0 = a[0]
-        # w_i = a_i·a_0^(i-1), so that B_n = -Σ w_i B_(n-i)
-        w = [(i, a[i] * a0 ** (i - 1)) for i in range(1, k + 1) if a[i]]
-        big_b = [1]
-        out = [Fraction(d, a0)]
-        scale = a0
-        for n in range(1, k + 1):
-            acc = 0
-            for i, wi in w:
-                if i > n:
-                    break
-                acc += wi * big_b[n - i]
-            big_b.append(-acc)
-            scale *= a0
-            out.append(Fraction(-d * acc, scale))
-        return TruncatedSeries(out, k)
+        return self._power(-1)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if not isinstance(n, int):
             raise TypeError("use pow_rational for non-integer exponents")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not n:
+            return TruncatedSeries.one(self.order)
+        return self._power(n)
+
+    def _power(self, u: int, m: int = 1) -> "TruncatedSeries":
+        """A^(u/m) through t^K, where m = 1 or A has constant term 1.
+
+        With A = t^v·(a_0/d)·(a/a_0) for numerators a over d, a_0 ≠ 0,
+        A^(u/m) = t^(vu)·(a_0/d)^u·(a/a_0)^(u/m), and `_miller` gives the
+        last factor through t^(K−vu) as P_j/(m²a_0)^j.  So each
+        coefficient is one reduced Fraction of integers.
+        """
+        if u < 0 and not self.coeffs[0]:
+            raise ZeroConstantTerm("cannot divide by a series with zero constant term")
+        k = self.order
+        v = self.valuation()
+        shift = v * u
+        if shift > k:
+            return TruncatedSeries.zero(k)
+        a, d = _scaled(self.coeffs[v:], k - shift)
+        a0 = a[0]
+        lead = Fraction(a0, d) ** u
+        num, den = lead.numerator, lead.denominator
+        step = m * m * a0
+        out = [Fraction(0)] * shift
+        for pn in _miller(a, a0, u, m, k - shift):
+            out.append(Fraction(num * pn, den))
+            den *= step
+        return TruncatedSeries(out, k)
 
     # -- composition and inversion ------------------------------------------
 
@@ -425,16 +439,7 @@ class TruncatedSeries:
         if self.coeffs[0] != 1:
             raise NonUnitConstant("rational powers need constant term exactly 1")
         e = _frac(e)
-        m = e.denominator
-        k = self.order
-        a, d = _scaled(self.coeffs, k)
-        step = m * m * d
-        out = []
-        scale = 1
-        for pn in _miller(a, d, e.numerator, m, k):
-            out.append(Fraction(pn, scale))
-            scale *= step
-        return TruncatedSeries(out, k)
+        return self._power(e.numerator, e.denominator)
 
 
 # -- shifts and regularizations ---------------------------------------------

@@ -157,7 +157,7 @@ def verify_identity(
             f"normalized I-series of {key} is not the solution of {fam.d3_operator}"
         )
     t = inverse_hauptmodul(hauptmodul(fam.hauptmodul, c - s, order))
-    r = rhs * (1 - s * inverse_hauptmodul(h))
+    r = rhs * (1 - s * inverse_hauptmodul(h)) if s else rhs
     residual = d3.apply_operator_in(op, r, t)
     if residual.order != order:
         raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")

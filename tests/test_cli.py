@@ -310,6 +310,20 @@ class TestDeterminism:
         assert result.returncode == 0, result.stderr
         assert hashlib.sha256(result.stdout).hexdigest() == want
 
+    #: Y28's row at its default s = 0, recorded from the CLI while the
+    #: factor 1 − s/H_c was still built at s = 0
+    Y28_DIGESTS = {
+        30: "6a214558a3eab4004f997529b7e5a18f61556f950ea392a71f2df089ef2d493d",
+        200: "b529fb148609c8bd98fefe9cb8bca8a3259ed0953692a6d10f4a68a0de89ed6b",
+    }
+
+    @pytest.mark.parametrize("order", [30, 200])
+    def test_zero_shift_row_matches_recorded_digest(self, capsys, order):
+        code, out, _ = run(capsys, "verify", "--family", "Y28", "--order", str(order),
+                           "--json")
+        assert code == 0 and '"s": "0"' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.Y28_DIGESTS[order]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "--family", "Y24", "--order", "10",

@@ -53,9 +53,9 @@ class TestEta:
         assert d.offset == 1
         assert [int(c) for c in d.body.coeffs[:4]] == [1, -24, 252, -1472]
         assert [int(c) for c in d.body.coeffs] == product_oracle(40, power=24)
-        # discriminant() is series._miller, the recurrence pow_rational runs
-        # too, on the same pentagonal body, so the naive product above is
-        # the independent check on both
+        # discriminant() and ** both run series._miller on the same
+        # pentagonal body, so the naive product above is the independent
+        # check on both
         assert discriminant(40) == d
 
 

@@ -86,6 +86,16 @@ def recurrence_reciprocal(a):
     return S(out, a.order)
 
 
+def product_power(a, n):
+    """a^n as |n| schoolbook products of a, or of recurrence_reciprocal(a)
+    when n < 0: an oracle for ** that shares no code with _miller."""
+    base = recurrence_reciprocal(a) if n < 0 else a
+    out = S.one(a.order)
+    for _ in range(abs(n)):
+        out = schoolbook_product(out, base)
+    return out
+
+
 def exp_product_shift(a, s):
     """regular_shift as it is defined: laplace(exp(s t) · inverse_laplace(a))."""
     return laplace(schoolbook_product(S.exponential(s, a.order), inverse_laplace(a)))
@@ -459,11 +469,12 @@ class TestPowRational:
         got = series(1, 2, 0, F(1, 3), 5).pow_rational(e)
         assert all(type(c) is F for c in got.coeffs)
 
-    @pytest.mark.parametrize("n", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("n", [-2, 0, 1, 3, -1])
     def test_integer_exponent_matches_repeated_product(self, n):
         a = series(1, 2, 0, F(1, 3), 5)
         got, want = a.pow_rational(n), a ** n
         assert got.order == want.order and got.coeffs == want.coeffs
+        assert got == product_power(a, n)
 
     @settings(max_examples=40)
     @given(series_strategy(1, 6), rationals, rationals)
@@ -504,10 +515,66 @@ class TestIntegerPower:
     @settings(max_examples=30)
     @given(unit_series_strategy(), st.integers(-3, 4))
     def test_integer_exponent_matches_pow(self, a, n):
-        assert a.pow_rational(n) == a ** n
+        assert a.pow_rational(n) == a ** n == product_power(a, n)
 
     def test_order_zero(self):
         assert series(1).pow_rational(F(-3, 8)) == series(1)
+
+
+class TestPow:
+    """** writes A = t^v·(a_0/d)·(a/a_0) and runs Miller's recurrence on
+    the unit factor (series._miller); the oracle multiplies term by term."""
+
+    EXPONENTS = [*range(-6, 13), 35]
+    #: constant terms that are not 1, negative or with a denominator, and
+    #: runs of zero terms
+    SERIES = [
+        series(F(-3, 4), F(1, 6), 0, 0, F(5, 9), 0, 2, 0, F(-7, 10), order=12),
+        series(6, 0, 0, F(1, 15), F(-2, 21), order=9),
+        S([F(5, 7)] + [F(7 * n % 11 - 5, n % 16 + 1) for n in range(1, 21)]),
+        series(-1, 1, order=10),
+    ]
+
+    @pytest.mark.parametrize("n", EXPONENTS)
+    def test_matches_repeated_product(self, n):
+        for a in self.SERIES:
+            got = a ** n
+            assert got == product_power(a, n)
+            assert all_fractions(got)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 12, 13, 35])
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_positive_valuation(self, v, n):
+        # order 40: t^(vn) lands inside, at and beyond the truncation
+        a = S([0] * v + [F(-2, 3), 1, 0, F(3, 5), 0, 0, -4], 40)
+        got = a ** n
+        assert got == product_power(a, n)
+        assert all_fractions(got)
+
+    @settings(max_examples=40)
+    @given(dense_or_sparse.filter(lambda a: a.coeffs[0]), st.integers(-6, 12))
+    def test_random_units(self, a, n):
+        assert a ** n == product_power(a, n)
+
+    @settings(max_examples=30)
+    @given(series_strategy(0, 10), st.integers(1, 3), st.integers(0, 12))
+    def test_random_valuations(self, tail, v, n):
+        a = S([0] * v + list(tail.coeffs), tail.order + v)
+        assert a ** n == product_power(a, n)
+
+    def test_zero_series(self):
+        assert S.zero(5) ** 3 == S.zero(5)
+        assert S.zero(5) ** 0 == S.one(5)
+
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_power_of_zero_constant_rejected(self, n):
+        with pytest.raises(ZeroConstantTerm):
+            series(0, 2, 1, order=6) ** n
+
+    @pytest.mark.parametrize("n", [F(1, 2), F(2), 2.0, "2"])
+    def test_non_int_exponent_rejected(self, n):
+        with pytest.raises(TypeError, match="pow_rational"):
+            series(1, 1, order=4) ** n
 
 
 class TestExactness:

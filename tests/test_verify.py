@@ -158,11 +158,28 @@ class TestTableRows:
             assert report.first_mismatch[0] == 1
 
 
+def bumped_body(real, n):
+    """`real` with 1 added to body coefficient n of the q-expansion it returns."""
+
+    def tampered(*args):
+        q = real(*args)
+        cs = list(q.body.coeffs)
+        cs[n] += 1
+        return QExpansion(q.offset, TruncatedSeries(cs, q.order))
+
+    return tampered
+
+
+#: The seven index-1 families; the index-2 rows are their partners' reports.
+INDEX1_KEYS = ["X6", "Y12_2", "Y12_3", "Y20", "Y24", "Y28", "Y30"]
+SWEEP_ORDER = 30
+
+
 class TestMutations:
     @pytest.mark.parametrize("key,s,c", TABLE_CONFIGS)
     @pytest.mark.parametrize("ds,dc", [(1, 0), (-1, 0), (0, 1), (0, -1)])
     def test_single_step_mutations_fail(self, key, s, c, ds, dc):
-        report = verify_identity(key, s + ds, c + dc, 15)
+        report = verify_identity(key, s + ds, c + dc, SWEEP_ORDER)
         assert not report.ok
         n, lhs, rhs = report.first_mismatch
         assert n == 1 and lhs != rhs
@@ -194,6 +211,40 @@ class TestMutations:
         mismatches = [n for n in range(order + 1)
                       if lhs.coeffs[n] != rhs.coeffs[n]]
         assert mismatches and mismatches[0] >= bump_index
+
+
+class TestMutationSweep:
+    """Every coefficient the identity check claims is read: one bump by 1
+    at body index n of the eta-product or of the Hauptmodul (both H_c and
+    H_(c−s)) makes the row fail at exactly q^n, for every n through the
+    order, q^K included."""
+
+    @pytest.mark.parametrize("part", ["eta_product", "hauptmodul"])
+    @pytest.mark.parametrize("key", INDEX1_KEYS)
+    def test_a_bump_at_n_fails_at_n(self, monkeypatch, key, part):
+        real = getattr(verify, part)
+        first = []
+        for n in range(1, SWEEP_ORDER + 1):
+            monkeypatch.setattr(verify, part, bumped_body(real, n))
+            report = verify_identity(key, order=SWEEP_ORDER)
+            first.append(None if report.ok else report.first_mismatch[0])
+        assert first == list(range(1, SWEEP_ORDER + 1))
+
+
+class TestZeroShift:
+    def test_y28_builds_one_inverse_hauptmodul(self, monkeypatch):
+        # at s = 0 the factor 1 − s/H_c is 1, so only T = 1/H_(c−s) is built
+        calls = []
+        real = verify.inverse_hauptmodul
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(verify, "inverse_hauptmodul", counted)
+        report = verify_identity("Y28", order=30)
+        assert report.ok and report.s == 0
+        assert len(calls) == 1
 
 
 class TestFreeShiftSweeps:
