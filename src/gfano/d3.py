@@ -79,7 +79,7 @@ class D3Operator(_Parameters):
 
     @classmethod
     def from_json(cls, data: dict) -> "D3Operator":
-        return cls(*[Fraction(b) for b in data["b"]])
+        return cls(*data["b"])
 
 
 #: The seven operators annihilating the normalized G-Fano quantum periods.

@@ -1,7 +1,8 @@
 """Moonshine Hauptmoduln H = 1/q + c + O(q) and mirror maps.
 
 Every label has a closed expression (Conway & Norton, "Monstrous
-Moonshine", 1979); 1A is Klein's j and the others are eta-quotients:
+Moonshine", 1979) and one route: 1A is Klein's j, any other label a row
+(f, const, scale) of one table, H = f + const + scale/f (H = f at scale 0):
 
     H_6A  = 16 + f + 64/f,  f = η(q)⁶η(q³)⁶ / (η(q²)⁶η(q⁶)⁶)
     H_10A = 8 + f + 16/f,   f = η(q)⁴η(q⁵)⁴ / (η(q²)⁴η(q¹⁰)⁴)
@@ -45,7 +46,7 @@ from .series import (
 
 
 class UnknownLabel(KeyError):
-    """Hauptmodul label outside {1A, 6A, 10A, 12A, 14A, 15A}."""
+    """Hauptmodul label outside `LABELS`."""
 
 
 class NoD3Operator(ValueError):
@@ -66,9 +67,6 @@ class InconsistentIdentity(SeriesError):
         self.order = order
         self.lhs = lhs
         self.rhs = rhs
-
-
-LABELS = ("1A", "6A", "10A", "12A", "14A", "15A")
 
 
 def renormalize_constant(h: QExpansion, c: Rational) -> QExpansion:
@@ -141,22 +139,22 @@ def solve_hauptmodul_from_identity(
 # -- construction routes -------------------------------------------------------
 
 
-#: label -> (eta-quotient f, const, scale) for H = f + const + scale/f.
-_TWO_TERM = {
+#: label -> (eta-quotient f, const, scale): H = f + const + scale/f, or f at scale 0.
+_QUOTIENTS = {
     label: (EtaQuotient.parse(f), const, scale) for label, f, const, scale in [
         ("6A", "1^6 3^6 2^-6 6^-6", 16, 64),
         ("10A", "1^4 5^4 2^-4 10^-4", 8, 16),
+        ("12A", "2^12 6^12 1^-6 3^-6 4^-6 12^-6", 0, 0),
         ("14A", "1^3 7^3 2^-3 14^-3", 4, 8),
         ("15A", "1^2 5^2 3^-2 15^-2", 3, 9),
     ]
 }
 
-#: H_12A itself is an eta-quotient.
-_QUOTIENT_12A = EtaQuotient.parse("2^12 6^12 1^-6 3^-6 4^-6 12^-6")
+LABELS = ("1A", *_QUOTIENTS)
 
 
-#: Entries kept by each route cache.  One battery pass fills 5 (label,
-#: order) keys and one modular pass 6, so both fit with room to spare.
+#: Entries kept by each route cache: one battery pass fills 6 (label, order)
+#: keys, (1A, 40) among them, and one modular pass 6, with room to spare.
 ROUTE_CACHE_SIZE = 16
 
 
@@ -164,13 +162,11 @@ ROUTE_CACHE_SIZE = 16
 def _eta_route(label: str, order: int) -> QExpansion:
     if label == "1A":
         return klein_j(order)
-    if label == "12A":
-        return eta_product(_QUOTIENT_12A, order)
-    if label not in _TWO_TERM:
+    if label not in _QUOTIENTS:
         raise UnknownLabel(label)
-    quotient, const, scale = _TWO_TERM[label]
+    quotient, const, scale = _QUOTIENTS[label]
     f = eta_product(quotient, order)
-    return f + QExpansion.constant(const, order) + scale * f.reciprocal()
+    return f + QExpansion.constant(const, order) + scale * f.reciprocal() if scale else f
 
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
@@ -187,8 +183,9 @@ def _identity_route(key: str, order: int) -> QExpansion:
 
 
 def hauptmodul(label: str, c: Optional[Rational] = None, order: int = 60) -> QExpansion:
-    """The Hauptmodul for the label from its closed form, which carries the
-    printed constant term; a given c replaces it.
+    """The Hauptmodul for the label from its closed form, the one production
+    route (verify's j too), with the printed constant term; a given c
+    replaces it.
 
     For 6A the tail 79, 352, 1431, 4160, 13015, 31968 is the printed
     McKay-Thompson expansion (asserted in the test-suite).

@@ -272,7 +272,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        return cls([Fraction(c) for c in data["coeffs"]], data["order"])
+        return cls(data["coeffs"], data["order"])
 
     # -- ring arithmetic ----------------------------------------------------
 

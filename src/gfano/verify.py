@@ -12,7 +12,7 @@ mismatching coefficient on failure.
 
 Every family is checked through its D3 operator L, with no series
 composition: the identity is equivalent to F(T) = R with F = normalize(I),
-T = 1/H_{c−s} and R = eta·H_c^{σ₁/24}·(1 − s/H_c), and that holds through
+T = 1/H_{c−s} and R = eta·H_c^{σ₁/24}/(1 + s·T), and that holds through
 q^K exactly when R_0 = 1 and L, written in the variable T, kills R through
 q^K (see `verify_identity`).  The report is the one a composition would
 give, coefficient for coefficient.
@@ -20,8 +20,8 @@ give, coefficient for coefficient.
 Two classical specializations get their own entry points: the square of
 Σ (6n)!/((3n)! n!³) j^{-n} equals E4 exactly, and j⁻¹ times its sixth
 power equals the discriminant Delta.  Both compose X6's I-series with
-1/j, the battery's one composition.  `check_exp_relation` ties the two
-index-2 G-series to each other.
+1/j for j = hauptmodul("1A"), the battery's one composition.
+`check_exp_relation` ties the two index-2 G-series to each other.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from .qexp import (
     discriminant,
     eisenstein_e4,
     eta_product,
-    klein_j,
 )
 from .series import (
     NonUnitConstant,
     SeriesError,
     TruncatedSeries,
+    _frac,
     laplace,
     normalize,
 )
@@ -127,8 +127,9 @@ def verify_identity(
     the family's D3 operator and with no composition.
 
     The regular shift is a Möbius substitution,
-    regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), so with F = normalize(I)
-    the identity reads F(T) = R for T = 1/H_{c−s} and R = rhs·(1 − s/H_c).
+    regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), and at x = 1/H_c, as
+    H_c = H_{c−s} + s, x/(1−sx) = T = 1/H_{c−s} and 1/(1−sx) = 1 + s·T.  So
+    with F = normalize(I) the identity reads F(T) = R, R = rhs/(1 + s·T).
     F is the solution of the family's operator L with F_0 = 1, and the
     t^n coefficient of L g is n³·g_n plus terms in g_0 .. g_(n−1).  So
     R = F∘T through q^K exactly when R_0 = 1 and L, written in T, kills R
@@ -147,7 +148,7 @@ def verify_identity(
         return _index2_row(key, verify_identity(EVEN_REDUCTION[key], s, c, order))
 
     i_series = iseries(key, order)
-    s, c, h, rhs = _modular_side(fam, s, c, order, i_series)
+    s, c, _, rhs = _modular_side(fam, s, c, order, i_series)
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     if rhs.coeffs[0] != 1:
         raise NonUnitConstant("both sides of the identity must be unit series")
@@ -157,7 +158,7 @@ def verify_identity(
             f"normalized I-series of {key} is not the solution of {fam.d3_operator}"
         )
     t = inverse_hauptmodul(hauptmodul(fam.hauptmodul, c - s, order))
-    r = rhs * (1 - s * inverse_hauptmodul(h)) if s else rhs
+    r = rhs / (1 + s * t) if s else rhs
     residual = d3.apply_operator_in(op, r, t)
     if residual.order != order:
         raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")
@@ -179,8 +180,8 @@ def _index2_row(key: str, base: IdentityReport) -> IdentityReport:
 def _modular_side(fam: FamilyDescriptor, s, c, order: int, i_series) -> tuple:
     """(s, c) defaulted from the family row and its I-series, H_c, and
     eta·H_c^{σ₁/24} as a unit power series (the q-offsets cancel)."""
-    s = fam.default_shift(i_series) if s is None else Fraction(s)
-    c = s + fam.c_minus_s if c is None else Fraction(c)
+    s = fam.default_shift(i_series) if s is None else _frac(s)
+    c = s + fam.c_minus_s if c is None else _frac(c)
     h = hauptmodul(fam.hauptmodul, c, order)
     eta = eta_product(ETA_PRODUCTS[fam.eta], order)
     h_pow = h.pow_rational(fam.exponent)
@@ -210,7 +211,7 @@ def sweep_free_shift(
 def _hypergeometric_in_inverse_j(order: int) -> TruncatedSeries:
     """Σ (6n)!/((3n)! n!³) j(q)^{-n} as a power series in q.  Cached: the E4
     and Delta items of an in-process battery share it."""
-    inv_j = inverse_hauptmodul(klein_j(order)).truncate(order)
+    inv_j = inverse_hauptmodul(hauptmodul("1A", order=order)).truncate(order)
     return iseries("X6", order).compose(inv_j)
 
 
@@ -223,10 +224,11 @@ def verify_kachru_vafa(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
 
 
 def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
-    """j⁻¹ · (Σ (6n)!/((3n)! n!³) j^{-n})⁶ = Delta as offset-1 expansions."""
+    """j⁻¹ · (Σ (6n)!/((3n)! n!³) j^{-n})⁶ = Delta as offset-1 expansions.
+    As j = E4³/Δ with the same Δ, it fails exactly when the E4 item does."""
     p = _hypergeometric_in_inverse_j(order)
     p6 = QExpansion(0, p.pow_rational(6))
-    lhs = klein_j(order).reciprocal() * p6
+    lhs = hauptmodul("1A", order=order).reciprocal() * p6
     rhs = discriminant(order)
     if not lhs.offset == rhs.offset == 1:
         raise OffsetError(f"offsets {lhs.offset} and {rhs.offset} must both be 1")

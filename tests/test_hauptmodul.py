@@ -97,6 +97,10 @@ class TestEtaQuotientRoutes:
         with pytest.raises(UnknownLabel):
             hauptmodul("7B", order=5)
 
+    def test_labels_keep_their_order(self):
+        # the table's row order; seeded benchmark samples are drawn in it
+        assert LABELS == ("1A", "6A", "10A", "12A", "14A", "15A")
+
 
 class Test6ASolver:
     def test_printed_mckay_thompson_tail(self):

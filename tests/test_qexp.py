@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_periods import canonical_sha256
 
 from gfano import qexp
-from gfano.hauptmodul import _QUOTIENT_12A, _TWO_TERM
+from gfano.hauptmodul import _QUOTIENTS
 from gfano.mathieu import M24_SHAPES, S24_EXTRA_SHAPES, FrameShape
 from gfano.qexp import (
     ETA_PRODUCTS,
@@ -113,20 +113,18 @@ def naive_eta_body(g, order):
 
 
 #: Every eta-product the package builds: the 28 M24/S24 frame shapes, the
-#: two-term Hauptmodul quotients, the 12A quotient and the identity products.
+#: Hauptmodul quotients (12A's among them) and the identity products.
 ORACLE_SHAPES = {
     **{f"shape {g}": g for g in M24_SHAPES + S24_EXTRA_SHAPES},
-    **{f"quotient {label}": f for label, (f, _, _) in _TWO_TERM.items()},
-    "quotient 12A": _QUOTIENT_12A,
+    **{f"quotient {label}": f for label, (f, _, _) in _QUOTIENTS.items()},
     **{f"product {key}": g for key, g in ETA_PRODUCTS.items()},
 }
 
 
-#: The 28 M24/S24 frame shapes and the five Hauptmodul quotients (the four
-#: two-term ones and 12A), keyed by name for the pinned digests below.
+#: The 28 M24/S24 frame shapes and the five Hauptmodul quotients of the
+#: route table, keyed by name for the pinned digests below.
 PINNED_SHAPES = {str(g): g for g in M24_SHAPES + S24_EXTRA_SHAPES}
-PINNED_QUOTIENTS = {**{label: f for label, (f, _, _) in _TWO_TERM.items()},
-                    "12A": _QUOTIENT_12A}
+PINNED_QUOTIENTS = {label: f for label, (f, _, _) in _QUOTIENTS.items()}
 
 # Recorded from the divisor-sum (σ₁) recurrence, before eta-products were
 # built from their pentagonal factors; they pin the bodies bit for bit.

@@ -690,3 +690,11 @@ class TestJson:
     def test_roundtrip(self):
         a = series(F(22, 7), -1, F(5, 3), 0, 9)
         assert TruncatedSeries.from_json(a.to_json()) == a
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries.from_json({"order": 1, "coeffs": [1, 0.1]})
+
+    def test_int_fraction_and_string_coefficients_accepted(self):
+        a = TruncatedSeries.from_json({"order": 2, "coeffs": [1, F(1, 3), "-3/2"]})
+        assert a == series(1, F(1, 3), F(-3, 2))

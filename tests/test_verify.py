@@ -1,10 +1,11 @@
 """End-to-end identity verification: table rows, sweeps, mutations, E4/Delta."""
 
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
-from gfano import d3, periods, verify
+from gfano import d3, periods, qexp, verify
 from gfano.hauptmodul import inverse_hauptmodul, mirror_map
 from gfano.periods import EVEN_REDUCTION, family, iseries
 from gfano.qexp import QExpansion, discriminant
@@ -110,14 +111,7 @@ class TestOperatorRoute:
         assert all(verify_identity(key, order=30).ok for key in BATTERY_KEYS + ["X6"])
 
     def test_period_not_solving_the_operator_raises(self, monkeypatch):
-        real = verify.iseries
-
-        def bumped(key, order):
-            cs = list(real(key, order).coeffs)
-            cs[5] += 1
-            return TruncatedSeries(cs, order)
-
-        monkeypatch.setattr(verify, "iseries", bumped)
+        monkeypatch.setattr(verify, "iseries", bumped_coeff(verify.iseries, 5))
         with pytest.raises(PeriodMismatch) as info:
             verify_identity("Y24", order=20)
         assert isinstance(info.value, SeriesError)
@@ -217,7 +211,9 @@ class TestMutationSweep:
     """Every coefficient the identity check claims is read: one bump by 1
     at body index n of the eta-product or of the Hauptmodul (both H_c and
     H_(c−s)) makes the row fail at exactly q^n, for every n through the
-    order, q^K included."""
+    order, q^K included; an index-2 row does so under its own name.  A bump
+    of the I-series at any n, or of one operator parameter b_i by ±1,
+    raises PeriodMismatch."""
 
     @pytest.mark.parametrize("part", ["eta_product", "hauptmodul"])
     @pytest.mark.parametrize("key", INDEX1_KEYS)
@@ -230,10 +226,69 @@ class TestMutationSweep:
             first.append(None if report.ok else report.first_mismatch[0])
         assert first == list(range(1, SWEEP_ORDER + 1))
 
+    @pytest.mark.parametrize("part", ["eta_product", "hauptmodul"])
+    @pytest.mark.parametrize("key", sorted(EVEN_REDUCTION))
+    def test_an_index2_row_fails_at_n_under_its_own_name(self, monkeypatch, key, part):
+        real = getattr(verify, part)
+        first = []
+        for n in range(1, SWEEP_ORDER + 1):
+            monkeypatch.setattr(verify, part, bumped_body(real, n))
+            report = verify_identity(key, order=SWEEP_ORDER)
+            assert report.family == key
+            assert report.name.startswith(f"{key} via {EVEN_REDUCTION[key]}: ")
+            first.append(None if report.ok else report.first_mismatch[0])
+        assert first == list(range(1, SWEEP_ORDER + 1))
+
+    @pytest.mark.parametrize("key", INDEX1_KEYS)
+    def test_an_iseries_bump_raises(self, monkeypatch, key):
+        real = verify.iseries
+        survivors = []
+        for n in range(SWEEP_ORDER + 1):
+            monkeypatch.setattr(verify, "iseries", bumped_coeff(real, n))
+            if not raises_period_mismatch(key):
+                survivors.append(n)
+        assert survivors == []
+
+    # Y28's period is the L14 solution itself, cached by `periods._iseries`,
+    # so a bumped L14 would change (or poison) both sides at once.
+    @pytest.mark.parametrize("key", [k for k in INDEX1_KEYS if k != "Y28"])
+    def test_an_operator_bump_raises(self, monkeypatch, key):
+        name = family(key).d3_operator
+        op = d3.OPERATORS[name]
+        survivors = []
+        for i in range(5):
+            for step in (1, -1):
+                b = list(op)
+                b[i] += step
+                monkeypatch.setitem(d3.OPERATORS, name, d3.D3Operator(*b))
+                if not raises_period_mismatch(key):
+                    survivors.append((f"b{i + 1}", step))
+        assert survivors == []
+
+
+def bumped_coeff(real, n):
+    """`real` with 1 added to coefficient n of the series it returns."""
+
+    def tampered(*args):
+        a = real(*args)
+        cs = list(a.coeffs)
+        cs[n] += 1
+        return TruncatedSeries(cs, a.order)
+
+    return tampered
+
+
+def raises_period_mismatch(key):
+    try:
+        verify_identity(key, order=SWEEP_ORDER)
+    except PeriodMismatch:
+        return True
+    return False
+
 
 class TestZeroShift:
-    def test_y28_builds_one_inverse_hauptmodul(self, monkeypatch):
-        # at s = 0 the factor 1 − s/H_c is 1, so only T = 1/H_(c−s) is built
+    @staticmethod
+    def count_inverse_hauptmoduln(monkeypatch, key):
         calls = []
         real = verify.inverse_hauptmodul
 
@@ -242,9 +297,20 @@ class TestZeroShift:
             return real(h)
 
         monkeypatch.setattr(verify, "inverse_hauptmodul", counted)
-        report = verify_identity("Y28", order=30)
+        return verify_identity(key, order=30), len(calls)
+
+    def test_y28_builds_one_inverse_hauptmodul(self, monkeypatch):
+        # at s = 0 the factor 1/(1 + s·T) is 1, so only T = 1/H_(c−s) is built
+        report, calls = self.count_inverse_hauptmoduln(monkeypatch, "Y28")
         assert report.ok and report.s == 0
-        assert len(calls) == 1
+        assert calls == 1
+
+    @pytest.mark.parametrize("key", INDEX1_KEYS)
+    def test_every_row_builds_one_inverse_hauptmodul(self, monkeypatch, key):
+        # the factor is written through T, so s ≠ 0 builds no 1/H_c either
+        report, calls = self.count_inverse_hauptmoduln(monkeypatch, key)
+        assert report.ok
+        assert calls == 1
 
 
 class TestFreeShiftSweeps:
@@ -273,6 +339,27 @@ class TestFreeShiftSweeps:
                             periods.FAMILIES["Y28"]._replace(key="Y22"))
         with pytest.raises(NotFreeShift, match=r"sweep applies to Y28, Y30, Y22$"):
             sweep_free_shift("Y24", range(0, 2), 10)
+
+
+class TestExactInputs:
+    """s and c are exact: ints, Fractions and "p/q" strings; a float is
+    refused, not rounded to the nearest binary fraction."""
+
+    def test_verify_identity(self):
+        with pytest.raises(TypeError):
+            verify_identity("Y24", 0.1)
+        with pytest.raises(TypeError):
+            verify_identity("Y24", 4, 6.0)
+        for s, c in [(4, 6), (F(4), F(6)), ("8/2", "12/2")]:
+            report = verify_identity("Y24", s, c, 10)
+            assert report.ok and (report.s, report.c) == (4, 6)
+
+    def test_sweep_free_shift(self):
+        with pytest.raises(TypeError):
+            sweep_free_shift("Y30", [0.5], 10)
+        reports = sweep_free_shift("Y30", [1, F(3), "5/2"], 10)
+        assert all(r.ok for r in reports)
+        assert [r.s for r in reports] == [1, 3, F(5, 2)]
 
 
 class TestMSeries:
@@ -383,6 +470,25 @@ class TestBattery:
         monkeypatch.undo()
         for report, key in zip(reports, BATTERY_KEYS):
             assert report == verify_identity(key, order=20)
+
+    def test_battery_builds_j_once(self, monkeypatch):
+        # E4 and Delta take j from hauptmodul("1A"), behind its route cache;
+        # importlib gives the module, which gfano's `hauptmodul` name shadows
+        hauptmodul_module = importlib.import_module("gfano.hauptmodul")
+        calls = []
+        real = qexp.klein_j
+
+        def counted(order):
+            calls.append(order)
+            return real(order)
+
+        monkeypatch.setattr(hauptmodul_module, "klein_j", counted)
+        monkeypatch.setattr(qexp, "klein_j", counted)
+        hauptmodul_module._eta_route.cache_clear()
+        verify._hypergeometric_in_inverse_j.cache_clear()
+        assert all(r.ok for r in verify_all(60))
+        assert calls == [verify.CLASSICAL_MAX_ORDER]
+        assert "klein_j" not in vars(verify)
 
     def test_report_json_schema(self):
         report = verify_identity("Y24", order=10)
