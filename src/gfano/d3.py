@@ -21,14 +21,14 @@ scaled coefficients C_n = n!³·d^n·c_n obey
     C_n = Σ_{j=1..4} d·Q_j(n-j)·C_{n-j}·((n-1)!/(n-j)!)³·d^(j-1),   C_0 = 1,
 
 so each step multiplies big ints by small ones, and c_n = C_n/(n!³·d^n)
-is one reduced Fraction.  apply_operator sums the same integer factors
-over the numerators of f and divides by d times their denominator.
+is one reduced Fraction.
 
 apply_operator_in applies L in another variable t(q), θ_t = u·q d/dq with
 u = t/(q·dt/dq), on integers: with f = X_0/den and u = U/du,
 θ_t^i f = X_i/(den·du^i) where X_(i+1) = U·(q d/dq X_i), and the sum in
 powers of t is `series._horner`.  The identity check uses it to test
 F(T) = R as "L, written in T, kills R", with no composition.
+apply_operator is the same routine in the variable t = q itself.
 
 The catalog below lists the seven operators whose solutions are the
 normalized quantum periods of the G-Fano threefolds.  L1 belongs to the
@@ -120,24 +120,9 @@ def _weights(polys: tuple, n: int) -> tuple[int, ...]:
 
 
 def apply_operator(op: D3Operator, f: TruncatedSeries) -> TruncatedSeries:
-    """Exact action of L on a truncated series, same truncation order.
-
-    D multiplies the n-th coefficient by n; the t^j factors shift indices
-    up by j, so the t^n output coefficient only needs f_{n-4} .. f_n.
-    The sum runs on the integer numerators F of f = F/D and is divided by
-    d·D once per coefficient.
-    """
-    big_b, d = _scaled(op, 4)
-    polys = _theta_polynomials(big_b)
-    k = f.order
-    cs, big_d = _scaled(f.coeffs, k)
-    out = []
-    for n in range(k + 1):
-        acc = d * n ** 3 * cs[n]
-        for j, w in enumerate(_weights(polys, n)[:n], 1):
-            acc -= w * cs[n - j]
-        out.append(Fraction(acc, d * big_d))
-    return TruncatedSeries(out, k)
+    """Exact action of L on a truncated series, same truncation order:
+    `apply_operator_in` with t = q, known through q^(K+1)."""
+    return apply_operator_in(op, f, TruncatedSeries.identity(f.order + 1))
 
 
 def apply_operator_in(op: D3Operator, f: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:

@@ -87,8 +87,12 @@ def inverse_hauptmodul(h: QExpansion) -> TruncatedSeries:
 
 
 def mirror_map(h: QExpansion, order: Optional[int] = None) -> TruncatedSeries:
-    """q(t) = compositional inverse of t = 1/H(q)."""
+    """q(t) = compositional inverse of t = 1/H(q), through t^order; H
+    through q^K gives q(t) through t^(K+1), the default and the limit."""
     q_of_t = inverse_hauptmodul(h).reverse()
+    if order is not None and order > q_of_t.order:
+        raise SeriesError(f"mirror map to order {order} needs H through q^{order - 1}, "
+                          f"got q^{h.order}")
     return q_of_t if order is None else q_of_t.truncate(order)
 
 

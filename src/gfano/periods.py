@@ -27,10 +27,11 @@ so the series costs O(K²) big-int steps, not the triple sum's O(K³).
 The recurrence comes from the sum, not from L15, so the identity rows'
 check that normalize(I) solves L15 still tests every coefficient.
 
-Y28 has no closed hypergeometric form; its I-series is defined as the
-analytic solution of the operator L14 (it already has zero linear term).
-The index-2 families Y48_2 and Y48_3 are the even-variable versions of
-Y12_2 and Y12_3: I(t) of the index-1 family evaluated at t².
+The I-series is chosen by the kind of period, never by the key: an
+index-2 family (Y48_2, Y48_3) is its partner Y12_2 or Y12_3 at t²; a
+family in the table `_CLOSED_FORMS` has its closed form; any other (Y28,
+with no closed hypergeometric form) is its operator's analytic solution
+and has no G-series of its own (`FreeShift`).
 
 The G-series is recovered by G = exp(-s t)·L⁻¹(I), computed as
 L⁻¹(normalize(I)), where s is the linear coefficient of I, and Givental's
@@ -63,8 +64,8 @@ class UnknownFamily(KeyError):
 
 
 class FreeShift(ValueError):
-    """G-series requested for Y28, whose I-series is the L14 solution
-    itself, so it has no G-series of its own."""
+    """G-series requested for a family whose I-series is its operator's
+    solution itself (Y28 with L14), so it has no G-series of its own."""
 
 
 class FamilyDescriptor(NamedTuple):
@@ -165,10 +166,36 @@ def _central(n: int) -> list:
     return out
 
 
-def _y30_coeffs(rows: list, order: int) -> list:
+def _x6(order: int) -> list:
+    return [factorial(6 * k) // (factorial(3 * k) * factorial(k) ** 3)
+            for k in range(order + 1)]
+
+
+def _y12_2(order: int) -> list:
+    return [c * sum(x ** 3 for x in row) for c, row in zip(_central(order), _pascal(order))]
+
+
+def _y12_3(order: int) -> list:
+    central = _central(order)
+    return [central[k] * sum(x * x * central[j] for j, x in enumerate(row))
+            for k, row in enumerate(_pascal(order))]
+
+
+def _y20(order: int) -> list:
+    return [sum(x ** 4 for x in row) for row in _pascal(order)]
+
+
+def _y24(order: int) -> list:
+    central = _central(order)
+    return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))
+            for k, row in enumerate(_pascal(order))]
+
+
+def _y30(order: int) -> list:
     """i_0..i_order of Y30 as Σ_a C(k,a)·S(a,k−a), each S(a, ·) from the
     module docstring's recurrence; a division that leaves a remainder
     raises SeriesError."""
+    rows = _pascal(order)
     out = [0] * (order + 1)
     for a in range(order + 1):
         s0, s1 = 1, 2 * (a + 1)
@@ -187,26 +214,10 @@ def _y30_coeffs(rows: list, order: int) -> list:
     return out
 
 
-def _closed_form_coeffs(key: str, order: int) -> list:
-    """The integer coefficients i_0..i_order of a closed-form family."""
-    if key == "X6":
-        return [factorial(6 * k) // (factorial(3 * k) * factorial(k) ** 3)
-                for k in range(order + 1)]
-    rows = _pascal(order)
-    if key == "Y20":
-        return [sum(x ** 4 for x in row) for row in rows]
-    if key == "Y30":
-        return _y30_coeffs(rows, order)
-    central = _central(order)
-    if key == "Y24":
-        return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))
-                for k, row in enumerate(rows)]
-    if key == "Y12_2":
-        return [central[k] * sum(x ** 3 for x in row) for k, row in enumerate(rows)]
-    if key == "Y12_3":
-        return [central[k] * sum(x * x * central[j] for j, x in enumerate(row))
-                for k, row in enumerate(rows)]
-    raise UnknownFamily(key)
+#: Closed-form family -> generator of its integer coefficients i_0..i_order.
+_CLOSED_FORMS = {
+    "X6": _x6, "Y12_2": _y12_2, "Y12_3": _y12_3, "Y20": _y20, "Y24": _y24, "Y30": _y30,
+}
 
 
 #: Entries kept by the I-series cache, the bound of the Hauptmodul route
@@ -235,17 +246,18 @@ def _iseries(key: str, order: int) -> TruncatedSeries:
         for n, c in enumerate(inner.coeffs):
             cs[2 * n] = c
         return TruncatedSeries(cs, order)
-    if key == "Y28":
-        return d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
-    return TruncatedSeries(_closed_form_coeffs(key, order), order)
+    if key in _CLOSED_FORMS:
+        return TruncatedSeries(_CLOSED_FORMS[key](order), order)
+    return d3.holomorphic_solution(d3.OPERATORS[fam.d3_operator], order)
 
 
 def gseries(key: str, order: int) -> TruncatedSeries:
     """G = exp(-s t) · L⁻¹(I) = L⁻¹(normalize(I)), s the linear coefficient
     of I; constant term 1 and zero linear term."""
-    if key == "Y28":
-        raise FreeShift("Y28 has no independent G-series: its I-series is the "
-                        "solution of L14")
+    fam = family(key)  # raises UnknownFamily
+    if key not in EVEN_REDUCTION and key not in _CLOSED_FORMS:
+        raise FreeShift(f"{key} has no independent G-series: its I-series is the "
+                        f"solution of {fam.d3_operator}")
     return inverse_laplace(normalize(iseries(key, order)))
 
 

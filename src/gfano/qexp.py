@@ -181,13 +181,6 @@ def _eta_body_coeffs(order: int) -> tuple:
     return tuple(cs)
 
 
-def eta(order: int) -> QExpansion:
-    """Dedekind eta: offset 1/24, pentagonal-number body."""
-    if order < 1:
-        raise SeriesError("eta needs order >= 1")
-    return QExpansion(Fraction(1, 24), TruncatedSeries(_eta_body_coeffs(order), order))
-
-
 def _sigma_table(order: int, power: int) -> list:
     """σ_power(n) = Σ_{d|n} d^power for n = 0..order by a divisor sieve."""
     s = [0] * (order + 1)
@@ -286,6 +279,11 @@ ETA_PRODUCTS: Dict[str, EtaQuotient] = {
 }
 
 _DELTA = EtaQuotient.parse("1^24")
+
+
+def eta(order: int) -> QExpansion:
+    """Dedekind eta: offset 1/24, the pentagonal-number body itself."""
+    return eta_product(EtaQuotient.parse("1"), order)
 
 
 # -- Eisenstein E4, discriminant, Klein j ------------------------------------

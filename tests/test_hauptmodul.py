@@ -223,6 +223,16 @@ class TestInverseAndMirror:
         u = inverse_hauptmodul(h).truncate(20)
         assert u.compose(mirror_map(h, 20)) == TruncatedSeries.identity(20)
 
+    def test_mirror_map_refuses_orders_beyond_h(self):
+        # H through q^K gives q(t) through t^(K+1) and no further
+        h = hauptmodul("6A", order=10)
+        assert mirror_map(h, 11) == mirror_map(h)
+        assert mirror_map(h, 11).order == 11
+        with pytest.raises(SeriesError, match=r"order 12 needs H through q\^11, got q\^10"):
+            mirror_map(h, 12)
+        with pytest.raises(SeriesError, match=r"order 30 .* got q\^10"):
+            mirror_map(h, 30)
+
     @pytest.mark.parametrize("label", ["1A", "6A", "10A", "12A", "14A", "15A"])
     def test_integrality_to_30(self, label):
         q_of_t = mirror_map(hauptmodul(label, order=31), 30)

@@ -208,24 +208,40 @@ class TestGSeries:
 
     def test_iseries_is_built_once_per_key_and_order(self, monkeypatch):
         builds = []
-        build = periods._closed_form_coeffs
+        build = periods._CLOSED_FORMS["Y30"]
 
-        def counted(key, order):
-            builds.append((key, order))
-            return build(key, order)
+        def counted(order):
+            builds.append(order)
+            return build(order)
 
-        monkeypatch.setattr(periods, "_closed_form_coeffs", counted)
+        monkeypatch.setitem(periods._CLOSED_FORMS, "Y30", counted)
         periods._iseries.cache_clear()
-        i = iseries("Y30", 20)
-        gseries("Y30", 20)
-        assert builds == [("Y30", 20)]
-        assert iseries("Y30", 20) is i
+        try:
+            i = iseries("Y30", 20)
+            gseries("Y30", 20)
+            assert builds == [20]
+            assert iseries("Y30", 20) is i
+        finally:
+            periods._iseries.cache_clear()
 
     def test_free_shift_guard(self):
-        with pytest.raises(FreeShift):
+        with pytest.raises(FreeShift, match=r"^Y28 has no independent G-series: "
+                                            r"its I-series is the solution of L14$"):
             gseries("Y28", 10)
         with pytest.raises(FreeShift):
             givental_constant("Y28")
+
+    def test_a_family_outside_the_table_is_its_operator_solution(self, monkeypatch):
+        # the period is chosen by its kind: with Y20's closed form gone,
+        # Y20 is an operator-only family like Y28
+        monkeypatch.delitem(periods._CLOSED_FORMS, "Y20")
+        periods._iseries.cache_clear()
+        try:
+            assert iseries("Y20", 20) == d3.holomorphic_solution(d3.OPERATORS["L10"], 20)
+            with pytest.raises(FreeShift, match=r"^Y20 .* solution of L10$"):
+                gseries("Y20", 20)
+        finally:
+            periods._iseries.cache_clear()
 
 
 class TestGiventalConstants:

@@ -213,7 +213,8 @@ class TestMutationSweep:
     H_(c−s)) makes the row fail at exactly q^n, for every n through the
     order, q^K included; an index-2 row does so under its own name.  A bump
     of the I-series at any n, or of one operator parameter b_i by ±1,
-    raises PeriodMismatch."""
+    raises PeriodMismatch.  A bump of E4 or Δ fails the E4 and Delta items
+    where the shape of j predicts."""
 
     @pytest.mark.parametrize("part", ["eta_product", "hauptmodul"])
     @pytest.mark.parametrize("key", INDEX1_KEYS)
@@ -264,6 +265,47 @@ class TestMutationSweep:
                 if not raises_period_mismatch(key):
                     survivors.append((f"b{i + 1}", step))
         assert survivors == []
+
+    # A bump at body index n of verify's own E4 or Δ fails that item at
+    # exactly q^n.  j = E4³/Δ, built in qexp, enters both items through
+    # 1/j, which starts at q: a bump in j's E4 or Δ moves p(1/j)² from
+    # q^(n+1) on, so n = K passes the E4 item, and 1/j·p(1/j)⁶ from q^n.
+    # An L1 route for the two items must give the same map.
+    @pytest.mark.parametrize("module,part,e4_shift,delta_shift", [
+        pytest.param(verify, "eisenstein_e4", 0, None, id="verify.eisenstein_e4"),
+        pytest.param(verify, "discriminant", None, 0, id="verify.discriminant"),
+        pytest.param(qexp, "eisenstein_e4", 1, 0, id="qexp.eisenstein_e4"),
+        pytest.param(qexp, "discriminant", 1, 0, id="qexp.discriminant"),
+    ])
+    def test_an_e4_or_delta_bump_fails_where_predicted(
+        self, monkeypatch, module, part, e4_shift, delta_shift
+    ):
+        # importlib gives the module, which gfano's `hauptmodul` name shadows
+        route = importlib.import_module("gfano.hauptmodul")._eta_route
+
+        def clear():
+            # no bumped j may stay cached
+            route.cache_clear()
+            verify._hypergeometric_in_inverse_j.cache_clear()
+
+        def first_mismatch(report):
+            return None if report.ok else report.first_mismatch[0]
+
+        def predicted(n, shift):
+            return None if shift is None or n + shift > SWEEP_ORDER else n + shift
+
+        real = getattr(module, part)
+        got, want = [], []
+        for n in range(1, SWEEP_ORDER + 1):
+            monkeypatch.setattr(module, part, bumped_body(real, n))
+            clear()
+            try:
+                got.append((first_mismatch(verify_kachru_vafa(SWEEP_ORDER)),
+                            first_mismatch(verify_delta(SWEEP_ORDER))))
+            finally:
+                clear()
+            want.append((predicted(n, e4_shift), predicted(n, delta_shift)))
+        assert got == want
 
 
 def bumped_coeff(real, n):
