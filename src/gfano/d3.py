@@ -39,6 +39,7 @@ of Σ (6n)!/((3n)! n!³) t^n, moved by the regular shift −120.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .series import (
@@ -157,7 +158,8 @@ def apply_operator_in(op: D3Operator, f: TruncatedSeries, t: TruncatedSeries) ->
     polys = [(0, 0, 0, d)] + [tuple(-c for c in p) for p in _theta_polynomials(big_b)]
     # θ_t^i f = du^(3-i)·X_i / (den·du³)
     polys = [[c * du ** (3 - i) for i, c in enumerate(p)] for p in polys]
-    p_f = [[sum(c * x[n] for c, x in zip(p, xs)) for n in range(k + 1)] for p in polys]
+    cols = list(zip(*xs))
+    p_f = [[sum(map(mul, p, col)) for col in cols] for p in polys]
 
     v, e = _scaled(t.coeffs, k)
     acc, e_power = _horner(p_f, v, e, k)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .series import (
@@ -113,10 +112,12 @@ class QExpansion:
 
         The body with the larger offset is shifted by d zeros into the
         frame of the smaller offset, and the two bodies add as series.  If
-        leading terms cancel the offset is advanced past them.
+        leading terms cancel the offset is advanced past them.  A scalar is
+        a constant known as far as self is: through q^(K + offset) when the
+        offset is positive.
         """
         if isinstance(other, (int, Fraction)):
-            other = QExpansion.constant(other, self.order)
+            other = QExpansion.constant(other, self.order + max(int(self.offset), 0))
         lo, hi = (self, other) if self.offset <= other.offset else (other, self)
         d = hi.offset - lo.offset
         if d.denominator != 1:
@@ -236,32 +237,20 @@ class EtaQuotient(NamedTuple):
 def eta_product(g: EtaQuotient, order: int) -> QExpansion:
     """Π_δ η(q^δ)^{r_δ} as a QExpansion with offset σ₁/24.
 
-    With c the gcd of the cycle lengths, the body is F(q^c) for
-    F = Π_δ E(q^(δ/c))^{r_δ} and E the pentagonal body, so F is built
-    through q^(K//c) and spread.  Each factor E^{r_δ} comes from Miller's
-    recurrence (`series._miller`, with m = d = 1) on the sparse E through
-    q^(K//δ), or is E itself for r_δ = 1, and is dilated by δ/c; the
-    factors are multiplied sparsest first, so the dilated ones meet each
-    other before the dense ones.
+    The body is Π_δ E(q^δ)^{r_δ}, E the pentagonal body.  Each factor
+    E^{r_δ} comes from Miller's recurrence (`series._miller`, with
+    m = d = 1) on the sparse E through q^(K//δ), or is E itself for
+    r_δ = 1; its nonzero terms, dilated by δ, are convolved into the body
+    through q^K, starting from 1.
     """
     if order < 1:
         raise SeriesError("eta_product needs order >= 1")
-    c = gcd(*(i for i, _ in g.counts)) or 1
-    top = order // c
-    # E(q^(δ/c))^r through q^top, as the nonzero terms of E^r through q^(K//δ)
-    factors = []
+    body = [1] + [0] * order
     for i, a in g.counts:
         e = _eta_body_coeffs(order // i)
         if a != 1:
             e = _miller(e, 1, a, 1, order // i)
-        factors.append([(i // c * n, x) for n, x in enumerate(e) if x])
-    factors.sort(key=len)
-    nz_f = [(0, 1)]
-    for nz in factors:
-        nz_f = _terms(_convolve(nz_f, nz, top), top)
-    body = [0] * (order + 1)
-    for n, x in nz_f:
-        body[c * n] = x
+        body = _convolve(_terms(body, order), [(i * n, x) for n, x in enumerate(e) if x], order)
     return QExpansion(Fraction(g.sigma1, 24), TruncatedSeries(body, order))
 
 

@@ -33,7 +33,8 @@ at the end:
               (_miller), divided by (m²D)^n; eta_product runs it on integers
     rev A     Lagrange inversion, [t^(n-1)] W^n of t/A = W/d from baby steps
               W^i and giant steps W^(jm) (see reverse), divided by n·d^n
-    shift     the binomial transform below, over A = A/D and s = p/q
+    shift     the binomial transform below, over A = A/D and s = p/q: q^n on
+              A_n once, then Pascal passes x_i <- p·x_i + x_(i+1)
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
 
@@ -124,19 +125,18 @@ def _powers(v: Sequence[int], count: int, k: int) -> list[list[int]]:
     return out
 
 
-def _horner(polys: Sequence[Sequence[int]], v: Sequence[int], e: int,
+def _horner(polys: Sequence[list[int]], v: Sequence[int], e: int,
             k: int) -> tuple[list[int], int]:
-    """Σ_j P_j·(v/e)^j through t^k for int lists P_0 .. P_m and an inner
-    series with numerators v over e: the numerators R_0 and e^m, by
-    R_m = P_m, R_j = R_(j+1)·v + P_j·e^(m-j)."""
+    """Σ_j P_j·(v/e)^j through t^k for int lists P_0 .. P_m of length k + 1
+    and an inner series with numerators v over e: the numerators R_0 and
+    e^m, by R_m = P_m, R_j = R_(j+1)·v + P_j·e^(m-j)."""
     nz_v = _terms(v, k)
-    top = polys[-1][: k + 1]
-    acc = [*top] + [0] * (k + 1 - len(top))
+    acc = polys[-1]
     e_power = 1
     for p in reversed(polys[:-1]):
         e_power *= e
         acc = _convolve(_terms(acc, k), nz_v, k)
-        for n, x in enumerate(p[: k + 1]):
+        for n, x in enumerate(p):
             acc[n] += x * e_power
     return acc, e_power
 
@@ -464,10 +464,11 @@ def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
     by s.
 
     This is the binomial transform b_n = Σ_k C(n,k) s^(n-k) a_k.  With
-    a = A/D and s = p/q, b_n·D·q^n = Σ_k C(n,k)·p^(n-k)·q^k·A_k is index 0
-    of the n-th pass of Pascal's rule x_i <- p·x_i + q·x_(i+1) over A, a
-    list that shortens by one per pass; the loop multiplies the numerators
-    by the small ints p and q only.  A zero shift returns a itself.
+    a = A/D and s = p/q, b_n·D·q^n = Σ_k C(n,k)·p^(n-k)·(q^k·A_k) is index 0
+    of the n-th pass of Pascal's rule x_i <- p·x_i + x_(i+1) over the list
+    q^k·A_k, which shortens by one per pass; the passes multiply the
+    numerators by the small int p only, and q enters once, as q^n on A_n.
+    A zero shift returns a itself.
     """
     s = _frac(s)
     if not s:
@@ -475,9 +476,10 @@ def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
     p, q = s.numerator, s.denominator
     k = a.order
     row, d = _scaled(a.coeffs, k)
+    row = [x * q ** n for n, x in enumerate(row)]
     out = [Fraction(row[0], d)]
     for _ in range(k):
-        row = [p * x + q * y for x, y in zip(row, row[1:])]
+        row = [p * x + y for x, y in zip(row, row[1:])]
         d *= q
         out.append(Fraction(row[0], d))
     return TruncatedSeries(out, k)

@@ -146,13 +146,13 @@ class TestEtaProductRecurrence:
 
     @pytest.mark.parametrize("exponents", [
         {1: 2, 2: 0, 3: 1},        # an exponent of 0
-        {2: 0, 4: 3},              # c = 4 once the zero exponent is dropped
+        {2: 0, 4: 3},              # cycle gcd 4 once the zero exponent is dropped
         {1: -24},                  # 1/Delta
         {2: -3, 4: 5, 1: -1},      # negative exponents on dilated factors
-        {3: -2, 6: 4, 9: -1},      # c = 3, a quotient
-        {5: 3, 40: 2},             # c = 5, one cycle longer than the order
-        {2: 12},                   # the shape 2^12, c = 2
-        {12: 2},                   # the shape 12^2, c = 12
+        {3: -2, 6: 4, 9: -1},      # cycle gcd 3, a quotient
+        {5: 3, 40: 2},             # cycle gcd 5, one cycle longer than the order
+        {2: 12},                   # the shape 2^12, cycle gcd 2
+        {12: 2},                   # the shape 12^2, cycle gcd 12
     ])
     def test_edge_cases_against_naive_product(self, exponents):
         g = EtaQuotient.from_counts(exponents)
@@ -305,6 +305,23 @@ class TestQExpansionAlgebra:
         assert got.offset == lo.offset
         assert got.order == k
         assert list(got.body.coeffs) == want
+
+    @settings(max_examples=60)
+    @given(st.integers(-3, 3), bodies,
+           st.fractions(min_value=-10, max_value=10, max_denominator=12))
+    def test_scalar_addition_keeps_every_known_coefficient(self, m, body, c):
+        x = QExpansion(m, body)
+        k = body.order
+        got = x + c
+        assert got == c + x
+        # x is known through q^(m + K), and so is the sum
+        assert got.offset + got.order == m + k
+        if not c:
+            assert got == x
+        elif not (m == 0 and c == -body.coeffs[0]):
+            assert got.order == k + max(m, 0)
+        for n in range(min(m, 0), m + k + 1):
+            assert got.coefficient(n) == x.coefficient(n) + (c if n == 0 else 0)
 
     def test_addition_rejects_fractional_gaps(self):
         with pytest.raises(OffsetError):
