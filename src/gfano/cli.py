@@ -27,9 +27,10 @@ from .series import normalize
 from .verify import SCHEMA
 
 #: Largest accepted --order.  The exact checks cost about the cube of the
-#: order.  At order 500 on a 2-vCPU x86 VM one identity (Y24 or Y30)
-#: takes about 1 s and the battery, pooled from POOL_MIN_ORDER up, about
-#: 3.5 s; each doubling multiplies that by four to eight (Y30: 0.28 s at
+#: order.  At order 500 on a 2-vCPU x86 VM one identity takes up to
+#: about 1 s (CLI wall time, Python 3.11.7: Y30 0.95-1.4 s, Y24
+#: 0.6-1.0 s) and the battery, pooled from POOL_MIN_ORDER up, about
+#: 3-4 s; each doubling multiplies that by four to eight (Y30: 0.3 s at
 #: order 250, 1.0-1.5 s at 500, 7.6 s at 1000).
 MAX_ORDER = 1000
 

@@ -21,7 +21,8 @@ scaled coefficients C_n = n!³·d^n·c_n obey
     C_n = Σ_{j=1..4} d·Q_j(n-j)·C_{n-j}·((n-1)!/(n-j)!)³·d^(j-1),   C_0 = 1,
 
 so each step multiplies big ints by small ones, and c_n = C_n/(n!³·d^n)
-is one reduced Fraction.
+is one Fraction: the quotient itself when the division is exact (every
+catalog operator's solution has integer coefficients), with no gcd.
 
 apply_operator_in applies L in another variable t(q), θ_t = u·q d/dq with
 u = t/(q·dt/dq), on integers: with f = X_0/den and u = U/du,
@@ -187,5 +188,6 @@ def holomorphic_solution(op: D3Operator, order: int) -> TruncatedSeries:
             falling *= (n - j) ** 3 * d
         big_c.append(acc)
         scale *= n ** 3 * d
-        out.append(Fraction(acc, scale))
+        c, r = divmod(acc, scale)
+        out.append(Fraction(acc, scale) if r else Fraction(c))
     return TruncatedSeries(out, order)

@@ -1,31 +1,43 @@
 """Quantum periods of the eight G-Fano threefold families.
 
 Every family carries a closed coefficient formula for its I-series (the
-regularized, exponentially shifted G-series).  The multi-index sums
-reduce to single or double sums of binomials, so each generator adds and
-multiplies small Python ints read from one Pascal triangle grown to the
-order (C(2j,j) from its own recurrence):
+regularized, exponentially shifted G-series).  Four of them are a binomial
+sum a_k, times C(2k,k) for Y12_2 and Y12_3:
 
-    Y20    i_k = Σ_a C(k,a)^4
-    Y24    i_k = Σ multinomial(k;a,b,c,d)^2 = Σ_j C(k,j)^2 C(2j,j) C(2k-2j,k-j)
-    Y12_2  i_k = C(2k,k) Σ_a C(k,a)^3
-    Y12_3  i_k = C(2k,k) Σ multinomial(k;a,b,c)^2 = C(2k,k) Σ_j C(k,j)^2 C(2j,j)
+    Y20    i_k = a_k = Σ_j C(k,j)^4
+    Y24    i_k = a_k = Σ multinomial(k;a,b,c,d)^2 = Σ_j C(k,j)^2 C(2j,j) C(2k-2j,k-j)
+    Y12_2  i_k = C(2k,k)·a_k,  a_k = Σ_j C(k,j)^3
+    Y12_3  i_k = C(2k,k)·a_k,  a_k = Σ multinomial(k;a,b,c)^2 = Σ_j C(k,j)^2 C(2j,j)
+
+(grouping the multinomial by the first j parts gives the Y24 and Y12_3
+forms).  Each a_k runs from a_0 = 1 and a_1 by the two-term recurrence
+that creative telescoping gives for its sum (Petkovšek, Wilf & Zeilberger,
+*A = B*, 1996), one exact division per coefficient:
+
+    Y20    (n+1)³·a_(n+1) = 2(2n+1)(3n²+3n+1)·a_n + 4n(4n−1)(4n+1)·a_(n−1),  a_1 = 2
+    Y24    (n+1)³·a_(n+1) = 2(2n+1)(5n²+5n+2)·a_n − 64n³·a_(n−1),             a_1 = 4
+    Y12_2  (n+1)²·a_(n+1) = (7n²+7n+2)·a_n + 8n²·a_(n−1),                  a_1 = 2
+    Y12_3  (n+1)²·a_(n+1) = (10n²+10n+3)·a_n − 9n²·a_(n−1),                a_1 = 3
+
+(Y12_2's a_k are the Franel numbers and Y24's the Domb numbers; C(2k,k)
+comes from its own term ratio).  The other two:
+
+    X6     i_k = (6k)! / ((3k)! k!^3)
     Y30    i_k = Σ_{a+b+c=k} (a+b)!(a+c)!(b+c)!k! / (a!b!c!)^3
                = Σ_a C(k,a) S(a,k-a),  S(a,m) = Σ_b C(m,b)^2 C(a+b,a) C(a+m-b,a)
-    X6     i_k = (6k)! / ((3k)! k!^3)
 
-(Grouping the multinomial by the first j parts gives the Y24 and Y12_3
-forms.  In Y30's triple sum c = m − b for m = k − a, so both C(b+c,b)
-and C(k−a,b) are C(m,b).)  For each a, S runs along m by the
-creative-telescoping recurrence of its binomial sum (Petkovšek, Wilf &
-Zeilberger, *A = B*, 1996), from S(a,0) = 1 and S(a,1) = 2(a+1):
+In Y30's triple sum c = m − b for m = k − a, so both C(b+c,b) and
+C(k−a,b) are C(m,b).  For each a, S runs along m by the
+creative-telescoping recurrence of its binomial sum, from S(a,0) = 1 and
+S(a,1) = 2(a+1), and Pascal's triangle grown to the order gives C(k,a):
 
     (m+2)³·S(a,m+2) = (7am² + 21am + 16a + 5m³ + 26m² + 45m + 26)·S(a,m+1)
                       + 2(m+1)(2a−2m−1)(2a+m+2)·S(a,m)
 
 so the series costs O(K²) big-int steps, not the triple sum's O(K³).
-The recurrence comes from the sum, not from L15, so the identity rows'
-check that normalize(I) solves L15 still tests every coefficient.
+Every recurrence comes from its sum, not from the family's D3 operator,
+so the identity rows' check that normalize(I) solves the operator still
+tests every coefficient.
 
 The I-series is chosen by the kind of period, never by the key: an
 index-2 family (Y48_2, Y48_3) is its partner Y12_2 or Y12_3 at t²; a
@@ -47,7 +59,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, NamedTuple, Optional, Union
+from operator import add, mul
+from typing import Callable, Dict, NamedTuple, Optional, Union
 
 from . import d3
 from .qexp import ETA_PRODUCTS
@@ -154,7 +167,7 @@ def _pascal(n: int) -> list:
     rows = [[1]]
     for _ in range(n):
         last = rows[-1]
-        rows.append([1] + [x + y for x, y in zip(last, last[1:])] + [1])
+        rows.append([1, *map(add, last, last[1:]), 1])
     return rows
 
 
@@ -166,29 +179,47 @@ def _central(n: int) -> list:
     return out
 
 
+def _recurrence(key: str, a1: int, step: Callable[[int], tuple[int, int, int]],
+                order: int) -> list:
+    """a_0..a_order of `key`'s binomial sum from a_0 = 1, a_1 and its
+    recurrence l·a_(n+1) = p·a_n + r·a_(n−1), where step(n) = (l, p, r);
+    a division that leaves a remainder raises SeriesError."""
+    out = [1, a1][: order + 1]
+    for n in range(1, order):
+        lead, p, r = step(n)
+        a, rem = divmod(p * out[n] + r * out[n - 1], lead)
+        if rem:
+            raise SeriesError(f"{key} sum a_{n + 1} is not an integer")
+        out.append(a)
+    return out
+
+
 def _x6(order: int) -> list:
     return [factorial(6 * k) // (factorial(3 * k) * factorial(k) ** 3)
             for k in range(order + 1)]
 
 
 def _y12_2(order: int) -> list:
-    return [c * sum(x ** 3 for x in row) for c, row in zip(_central(order), _pascal(order))]
+    sums = _recurrence("Y12_2", 2, lambda n: (
+        (n + 1) ** 2, 7 * n * n + 7 * n + 2, 8 * n * n), order)
+    return list(map(mul, _central(order), sums))
 
 
 def _y12_3(order: int) -> list:
-    central = _central(order)
-    return [central[k] * sum(x * x * central[j] for j, x in enumerate(row))
-            for k, row in enumerate(_pascal(order))]
+    sums = _recurrence("Y12_3", 3, lambda n: (
+        (n + 1) ** 2, 10 * n * n + 10 * n + 3, -9 * n * n), order)
+    return list(map(mul, _central(order), sums))
 
 
 def _y20(order: int) -> list:
-    return [sum(x ** 4 for x in row) for row in _pascal(order)]
+    return _recurrence("Y20", 2, lambda n: (
+        (n + 1) ** 3, 2 * (2 * n + 1) * (3 * n * n + 3 * n + 1),
+        4 * n * (4 * n - 1) * (4 * n + 1)), order)
 
 
 def _y24(order: int) -> list:
-    central = _central(order)
-    return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))
-            for k, row in enumerate(_pascal(order))]
+    return _recurrence("Y24", 4, lambda n: (
+        (n + 1) ** 3, 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2), -64 * n ** 3), order)
 
 
 def _y30(order: int) -> list:

@@ -33,8 +33,9 @@ at the end:
               (_miller), divided by (m²D)^n; eta_product runs it on integers
     rev A     Lagrange inversion, [t^(n-1)] W^n of t/A = W/d from baby steps
               W^i and giant steps W^(jm) (see reverse), divided by n·d^n
-    shift     the binomial transform below, over A = A/D and s = p/q: q^n on
-              A_n once, then Pascal passes x_i <- p·x_i + x_(i+1)
+    shift     the binomial transform below, over A = A/D and s = p/q:
+              p^(K−n)·q^n on A_n once, add-only Pascal passes x_i <- x_i +
+              x_(i+1), and the n-th head divided by p^(K−n)·D·q^n
 
 This takes the per-term gcd of Fraction arithmetic off the hot loops.
 
@@ -54,8 +55,9 @@ never as a product with exp(s t), whose 1/n! would scale them by K!.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -464,24 +466,30 @@ def regular_shift(a: TruncatedSeries, s: Rational) -> TruncatedSeries:
     by s.
 
     This is the binomial transform b_n = Σ_k C(n,k) s^(n-k) a_k.  With
-    a = A/D and s = p/q, b_n·D·q^n = Σ_k C(n,k)·p^(n-k)·(q^k·A_k) is index 0
-    of the n-th pass of Pascal's rule x_i <- p·x_i + x_(i+1) over the list
-    q^k·A_k, which shortens by one per pass; the passes multiply the
-    numerators by the small int p only, and q enters once, as q^n on A_n.
-    A zero shift returns a itself.
+    a = A/D, s = p/q and the list x_k = p^(K−k)·q^k·A_k, index 0 of the
+    n-th pass of Pascal's rule x_i <- x_i + x_(i+1), which shortens the
+    list by one, is Σ_k C(n,k)·p^(K−k)·q^k·A_k = p^(K−n)·b_n·D·q^n.  So
+    the passes only add, and b_n·D·q^n is that head over p^(K−n), an
+    exact division (a remainder raises SeriesError).  A zero shift
+    returns a itself.
     """
     s = _frac(s)
     if not s:
         return a
     p, q = s.numerator, s.denominator
     k = a.order
+    p_powers = list(accumulate(repeat(p, k), mul, initial=1))[::-1]
+    q_powers = accumulate(repeat(q, k), mul, initial=1)
     row, d = _scaled(a.coeffs, k)
-    row = [x * q ** n for n, x in enumerate(row)]
-    out = [Fraction(row[0], d)]
-    for _ in range(k):
-        row = [p * x + y for x, y in zip(row, row[1:])]
+    row = [x * y * z for x, y, z in zip(row, p_powers, q_powers)]
+    out = []
+    for n, p_power in enumerate(p_powers):
+        b, rem = divmod(row[0], p_power)
+        if rem:
+            raise SeriesError(f"shift head {n} is not a multiple of p^{k - n}")
+        out.append(Fraction(b, d))
         d *= q
-        out.append(Fraction(row[0], d))
+        row = list(map(add, row, row[1:]))
     return TruncatedSeries(out, k)
 
 

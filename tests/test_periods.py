@@ -19,7 +19,7 @@ from gfano.periods import (
     gseries,
     iseries,
 )
-from gfano.series import TruncatedSeries, inverse_laplace, laplace, normalize
+from gfano.series import SeriesError, TruncatedSeries, inverse_laplace, laplace, normalize
 from gfano.verify import check_exp_relation
 
 PRINTED_ISERIES = {
@@ -94,6 +94,42 @@ def y30_triple_sum(k):
     return total
 
 
+def pascal_rows(n):
+    """Rows 0..n of Pascal's triangle."""
+    rows = [[1]]
+    for _ in range(n):
+        last = rows[-1]
+        rows.append([1] + [x + y for x, y in zip(last, last[1:])] + [1])
+    return rows
+
+
+def central_binomials(n):
+    """C(2k, k) for k = 0..n."""
+    return [comb(2 * k, k) for k in range(n + 1)]
+
+
+def binomial_sums(key, order):
+    """i_0..i_order of the four binomial-sum families as the sums
+    themselves, added and multiplied row by row over Pascal's triangle:
+    the oracles of the generators' recurrences."""
+    central = central_binomials(order)
+    rows = pascal_rows(order)
+    if key == "Y12_2":
+        return [central[k] * sum(x ** 3 for x in row) for k, row in enumerate(rows)]
+    if key == "Y12_3":
+        return [central[k] * sum(x * x * central[j] for j, x in enumerate(row))
+                for k, row in enumerate(rows)]
+    if key == "Y20":
+        return [sum(x ** 4 for x in row) for row in rows]
+    if key == "Y24":
+        return [sum(x * x * central[j] * central[k - j] for j, x in enumerate(row))
+                for k, row in enumerate(rows)]
+    raise KeyError(key)
+
+
+RECURRENCE_FAMILIES = ["Y12_2", "Y12_3", "Y20", "Y24"]
+
+
 def exp_power_form(key, order):
     """The generators as k!^m [t^k] (Σ t^a/a!^m)^p, the power form the
     binomial sums replaced."""
@@ -164,6 +200,27 @@ class TestISeries:
         assert list(iseries("Y30", 40).coeffs) == [y30_triple_sum(k) for k in range(41)]
         assert iseries("Y30", 120).coeffs[120] == y30_triple_sum(120)
 
+    @pytest.mark.parametrize("key", RECURRENCE_FAMILIES)
+    def test_recurrence_against_binomial_sum(self, key):
+        assert list(iseries(key, 120).coeffs) == binomial_sums(key, 120)
+        assert iseries(key, 300).coeffs[300] == binomial_sums(key, 300)[300]
+
+    @pytest.mark.parametrize("key", RECURRENCE_FAMILIES)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_recurrence_at_the_lowest_orders(self, key, order):
+        want = binomial_sums(key, order)
+        assert periods._CLOSED_FORMS[key](order) == want
+        assert list(iseries(key, order).coeffs) == want
+
+    def test_recurrence_with_a_remainder_raises(self):
+        # l = p = r = 1 gives the Fibonacci numbers
+        assert periods._recurrence("Y24", 1, lambda n: (1, 1, 1), 5) == [1, 1, 2, 3, 5, 8]
+        with pytest.raises(SeriesError, match=r"^Y20 sum a_2 is not an integer$"):
+            periods._recurrence("Y20", 1, lambda n: (2, 1, 0), 5)
+        # a_2 = 2 and a_3 = 3 are exact, 2·a_4 = 3 + 2 is not
+        with pytest.raises(SeriesError, match=r"^Y24 sum a_4 is not an integer$"):
+            periods._recurrence("Y24", 1, lambda n: (1 if n < 3 else 2, 1, 1), 6)
+
     @pytest.mark.parametrize("key", ["Y20", "Y24", "Y12_3"])
     def test_against_exp_power_form_to_60(self, key):
         assert list(iseries(key, 60).coeffs) == exp_power_form(key, 60)
@@ -184,11 +241,11 @@ class TestISeries:
 
 class TestNormalizedPeriods:
     @pytest.mark.parametrize(
-        "key", ["Y12_2", "Y12_3", "Y20", "Y24", "Y28", "Y30"]
+        "key", [k for k, f in FAMILIES.items() if f.d3_operator]
     )
     def test_normalized_iseries_solves_d3(self, key):
         op = d3.OPERATORS[family(key).d3_operator]
-        assert normalize(iseries(key, 80)) == d3.holomorphic_solution(op, 80)
+        assert normalize(iseries(key, 100)) == d3.holomorphic_solution(op, 100)
 
 
 class TestGSeries:

@@ -246,6 +246,24 @@ class TestBinomialShift:
         w = S([1, -s], 40)
         assert regular_shift(a, s) == a.compose(S.identity(40) / w) / w
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(60, 120).flatmap(
+            lambda k: st.lists(st.integers(-(2 ** 1000), 2 ** 1000),
+                               min_size=k + 1, max_size=k + 1)),
+        st.one_of(
+            st.sampled_from([-120, -3, -1, 1, 3]),
+            st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(
+                lambda x: x.denominator != 1),
+        ),
+    )
+    def test_high_order_matches_exp_product(self, cs, s):
+        # the shift-scaled Pascal passes at the orders the periods run at
+        a = S(cs)
+        got = regular_shift(a, s)
+        assert got == exp_product_shift(a, s)
+        assert all_fractions(got)
+
     @pytest.mark.parametrize("s", [0, 3, F(-7, 4)])
     def test_order_zero(self, s):
         got = regular_shift(S([F(5, 6)], 0), s)
