@@ -21,7 +21,6 @@ import sys
 from typing import List
 
 from . import periods, verify
-from .hauptmodul import UnknownLabel
 from .periods import FAMILIES, UnknownFamily
 from .series import normalize
 from .verify import SCHEMA
@@ -251,8 +250,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already, 0 after --help
         return int(exc.code or 0)
-    except (UnknownFamily, UnknownLabel) as exc:
-        print(f"error: unknown family or label {exc}", file=sys.stderr)
+    except UnknownFamily as exc:
+        print(f"error: unknown family {exc}", file=sys.stderr)
         return 2
     except (SystemExit2, verify.NotFreeShift, periods.FreeShift) as exc:
         print(f"error: {exc}", file=sys.stderr)

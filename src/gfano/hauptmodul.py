@@ -10,6 +10,11 @@ Moonshine", 1979) and one route: 1A is Klein's j, any other label a row
     H_14A = 4 + g + 8/g,    g = η(q)³η(q⁷)³ / (η(q²)³η(q¹⁴)³)
     H_15A = 3 + h + 9/h,    h = η(q)²η(q⁵)² / (η(q³)²η(q¹⁵)²)
 
+Every quotient f of the table has σ₁ = −24, so f = q⁻¹·F with F its
+eta-product body, and the sum is taken on bodies in that one frame:
+H = q⁻¹·(F + const·q + scale·q²·F⁻¹).  A row whose quotient has another
+offset raises WrongOffset.
+
 An independent cross-check solves the defining functional equation
 
     I(1/H) = η(q) · H^e        (η = q^e·E the eta-product, e = σ₁/24)
@@ -170,7 +175,12 @@ def _eta_route(label: str, order: int) -> QExpansion:
         raise UnknownLabel(label)
     quotient, const, scale = _QUOTIENTS[label]
     f = eta_product(quotient, order)
-    return f + QExpansion.constant(const, order) + scale * f.reciprocal() if scale else f
+    if f.offset != -1:
+        raise WrongOffset(f"{label} quotient {quotient} has offset {f.offset}, expected -1")
+    if not scale:
+        return f
+    tail = TruncatedSeries([0, const, *(f.body.reciprocal() * scale).coeffs], order)
+    return QExpansion(-1, f.body + tail)
 
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)

@@ -56,17 +56,24 @@ def _check_offset(off: Fraction) -> Fraction:
 
 
 class QExpansion:
-    """q^offset times a unit power series in q, all arithmetic exact."""
+    """q^offset times a unit power series in q, all arithmetic exact.
+
+    The body's constant term must be nonzero, so the offset is the
+    q-valuation; a body with a zero constant term raises OffsetError.
+    The type only multiplies: products, quotients, reciprocals and
+    integer or rational powers of expansions.  A sum is taken on the
+    bodies in one frame, as `hauptmodul` builds H = f + const + scale/f:
+    f = q⁻¹·F when σ₁ = −24, so H = q⁻¹·(F + const·q + scale·q²·F⁻¹).
+    """
 
     __slots__ = ("offset", "body")
 
     def __init__(self, offset: Rational, body: TruncatedSeries):
         self.offset = _check_offset(_frac(offset))
+        if not body.coeffs[0]:
+            raise OffsetError(f"body {body!r} has a zero constant term, so the "
+                              f"offset {self.offset} is not the q-valuation")
         self.body = body
-
-    @classmethod
-    def constant(cls, value: Rational, order: int) -> "QExpansion":
-        return cls(0, TruncatedSeries([value], order))
 
     @property
     def order(self) -> int:
@@ -93,50 +100,17 @@ class QExpansion:
         return f"QExpansion(offset={self.offset}, body={self.body!r})"
 
     def __mul__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction)):
-            return QExpansion(self.offset, self.body * other)
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         return QExpansion(self.offset + other.offset, self.body * other.body)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction)):
-            return QExpansion(self.offset, self.body / other)
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         return QExpansion(self.offset - other.offset, self.body / other.body)
 
     def reciprocal(self) -> "QExpansion":
         return QExpansion(-self.offset, self.body.reciprocal())
-
-    def __add__(self, other) -> "QExpansion":
-        """Sum; offsets must differ by an integer.
-
-        The body with the larger offset is shifted by d zeros into the
-        frame of the smaller offset, and the two bodies add as series.  If
-        leading terms cancel the offset is advanced past them.  A scalar is
-        a constant known as far as self is: through q^(K + offset) when the
-        offset is positive.
-        """
-        if isinstance(other, (int, Fraction)):
-            other = QExpansion.constant(other, self.order + max(int(self.offset), 0))
-        lo, hi = (self, other) if self.offset <= other.offset else (other, self)
-        d = hi.offset - lo.offset
-        if d.denominator != 1:
-            raise OffsetError(f"offsets {lo.offset} and {hi.offset} differ by {d}")
-        d = int(d)
-        body = lo.body + TruncatedSeries((0,) * d + hi.body.coeffs, hi.order + d)
-        v = body.valuation()
-        if 0 < v <= body.order:
-            body = TruncatedSeries(body.coeffs[v:], body.order - v)
-            return QExpansion(lo.offset + v, body)
-        return QExpansion(lo.offset, body)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QExpansion":
-        return QExpansion(self.offset, -self.body)
-
-    def __sub__(self, other) -> "QExpansion":
-        return self + (-other)
 
     def __pow__(self, n: int) -> "QExpansion":
         return QExpansion(self.offset * n, self.body ** n)

@@ -11,6 +11,7 @@ import pytest
 
 from gfano import periods, verify
 from gfano.cli import MAX_ORDER, POOL_MIN_ORDER, main
+from gfano.hauptmodul import UnknownLabel
 from gfano.series import TruncatedSeries
 
 
@@ -74,6 +75,15 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "verify_identity", broken)
         with pytest.raises(KeyError, match="internal"):
+            main(["verify", "--family", "Y24", "--order", "5"])
+
+    def test_internal_unknown_label_is_not_a_config_error(self, monkeypatch):
+        # no CLI input names a Hauptmodul label, so this is a fault, not exit 2
+        def broken(*args, **kwargs):
+            raise UnknownLabel("9Z")
+
+        monkeypatch.setattr(verify, "hauptmodul", broken)
+        with pytest.raises(UnknownLabel, match="9Z"):
             main(["verify", "--family", "Y24", "--order", "5"])
 
     def test_bad_order_is_config_error(self, capsys):

@@ -17,11 +17,12 @@ from gfano.hauptmodul import (
     mirror_map,
     renormalize_constant,
     solve_hauptmodul_from_identity,
+    _QUOTIENTS,
     _eta_route,
     _identity_route,
 )
 from gfano.periods import FAMILIES, iseries
-from gfano.qexp import ETA_PRODUCTS, QExpansion, eta_product, klein_j
+from gfano.qexp import ETA_PRODUCTS, EtaQuotient, QExpansion, eta_product, klein_j
 from gfano.series import NonUnitConstant, SeriesError, TruncatedSeries
 
 PRINTED_TAILS = {
@@ -96,6 +97,16 @@ class TestEtaQuotientRoutes:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             hauptmodul("7B", order=5)
+
+    def test_row_off_the_minus_one_frame_is_wrong_offset(self, monkeypatch):
+        # the body sum is framed at q^-1; 1^24 sits at q^1
+        _eta_route.cache_clear()
+        monkeypatch.setitem(_QUOTIENTS, "6A", (EtaQuotient.parse("1^24"), 16, 64))
+        try:
+            with pytest.raises(WrongOffset, match="6A quotient 1\\^24 has offset 1"):
+                _eta_route("6A", 5)
+        finally:
+            _eta_route.cache_clear()
 
     def test_labels_keep_their_order(self):
         # the table's row order; seeded benchmark samples are drawn in it

@@ -168,7 +168,7 @@ class TestEtaProductRecurrence:
 
     def test_no_exponents_is_one(self):
         assert EtaQuotient.from_counts({1: 0, 7: 0}) == EtaQuotient.from_counts({}) == ((),)
-        assert eta_product(EtaQuotient.from_counts({}), 5) == QExpansion.constant(1, 5)
+        assert eta_product(EtaQuotient.from_counts({}), 5) == QExpansion(0, TruncatedSeries.one(5))
 
     def test_validation_runs_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -253,16 +253,6 @@ class TestEisensteinDelta:
         assert lhs.body.truncate(order - 1) == rhs.body.truncate(order - 1)
 
 
-#: bodies with a nonzero constant term, so a sum across a gap >= 1 never
-#: cancels its leading term
-bodies = st.integers(0, 10).flatmap(
-    lambda k: st.lists(
-        st.fractions(min_value=-10, max_value=10, max_denominator=12),
-        min_size=k + 1, max_size=k + 1,
-    ).filter(lambda cs: cs[0]).map(lambda cs: TruncatedSeries(cs, k))
-)
-
-
 class TestQExpansionAlgebra:
     def test_multiplication_adds_offsets(self):
         a = eta(10)
@@ -284,53 +274,23 @@ class TestQExpansionAlgebra:
         with pytest.raises(OffsetError):
             QExpansion(F(1, 5), TruncatedSeries([1], 3))
 
-    def test_addition_reconciles_integer_gaps(self):
-        h = QExpansion(-1, TruncatedSeries([1, 0, 0, 0], 3))  # 1/q
-        s = h + 5 + QExpansion(1, TruncatedSeries([2, 0], 1))  # + 5 + 2q
-        assert s.offset == -1
-        assert [int(c) for c in s.body.coeffs[:3]] == [1, 5, 2]
+    def test_body_must_be_a_unit(self):
+        # offset 0 with coefficient(0) == 0 would misstate the q-valuation
+        with pytest.raises(OffsetError, match="zero constant term"):
+            QExpansion(0, TruncatedSeries([0, 1, 2], 2))
 
-    @settings(max_examples=60)
-    @given(st.integers(-48, 48), st.integers(1, 12), bodies, bodies)
-    def test_addition_aligns_bodies_across_integer_gaps(self, off24, gap, lo_body, hi_body):
-        lo = QExpansion(F(off24, 24), lo_body)
-        hi = QExpansion(F(off24, 24) + gap, hi_body)
-        k = min(lo.order, hi.order + gap)
-        want = [
-            lo_body.coeffs[n] + (hi_body.coeffs[n - gap] if n >= gap else 0)
-            for n in range(k + 1)
-        ]
-        got = lo + hi
-        assert got == hi + lo
-        assert got.offset == lo.offset
-        assert got.order == k
-        assert list(got.body.coeffs) == want
-
-    @settings(max_examples=60)
-    @given(st.integers(-3, 3), bodies,
-           st.fractions(min_value=-10, max_value=10, max_denominator=12))
-    def test_scalar_addition_keeps_every_known_coefficient(self, m, body, c):
-        x = QExpansion(m, body)
-        k = body.order
-        got = x + c
-        assert got == c + x
-        # x is known through q^(m + K), and so is the sum
-        assert got.offset + got.order == m + k
-        if not c:
-            assert got == x
-        elif not (m == 0 and c == -body.coeffs[0]):
-            assert got.order == k + max(m, 0)
-        for n in range(min(m, 0), m + k + 1):
-            assert got.coefficient(n) == x.coefficient(n) + (c if n == 0 else 0)
-
-    def test_addition_rejects_fractional_gaps(self):
-        with pytest.raises(OffsetError):
-            eta(5) + discriminant(5)
-
-    def test_cancellation_advances_offset(self):
-        a = QExpansion(0, TruncatedSeries([1, 7, 0], 2))
-        b = QExpansion(0, TruncatedSeries([-1, 0, 3], 2))
-        assert (a + b).offset == 1
+    @pytest.mark.parametrize("op", [
+        lambda x: x * 2,
+        lambda x: 2 * x,
+        lambda x: x * F(1, 2),
+        lambda x: x / 2,
+        lambda x: x + x,
+        lambda x: x - x,
+        lambda x: -x,
+    ])
+    def test_no_scalar_or_additive_operations(self, op):
+        with pytest.raises(TypeError):
+            op(eta(5))
 
     @settings(max_examples=25)
     @given(st.integers(1, 12), st.integers(1, 4))
