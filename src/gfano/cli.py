@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "I-series.")
     family_and_order(p, required=True, help=keys)
     p.add_argument("--sweep-range", required=True, metavar="A:B",
-                   help="inclusive integer shift range")
+                   help="inclusive integer shift range; write "
+                        "--sweep-range=A:B when A is negative")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("series", help="dump a family's series")

@@ -3,7 +3,9 @@
 A TruncatedSeries holds coefficients c_0 .. c_K of a formal series
 Σ c_n t^n together with its truncation order K (the last index that is
 trusted).  All arithmetic is exact: coefficients are `fractions.Fraction`,
-never floats.  Binary operations truncate to the minimum order of their
+never floats.  `+` and `*` take a series or an int/Fraction, `/` only a
+series; there is no `-`, no scalar division and no indexing (read
+`.coeffs`).  Binary operations truncate to the minimum order of their
 operands.  A composite outer∘inner is known through
 t^min(K_in, (K_out+1)·v − 1), v the inner valuation: its first unknown
 outer term starts at t^((K_out+1)·v).
@@ -228,11 +230,6 @@ class TruncatedSeries:
 
     # -- basics ------------------------------------------------------------
 
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; order+1 if identically zero."""
         for i, c in enumerate(self.coeffs):
@@ -279,28 +276,20 @@ class TruncatedSeries:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(k + 1)], k
-        )
+        if isinstance(other, (int, Fraction)):
+            other = TruncatedSeries([other], self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return TruncatedSeries(list(map(add, self.coeffs, other.coeffs)),
+                               min(self.order, other.order))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            return TruncatedSeries([c * s for c in self.coeffs], self.order)
-        other = self._coerce(other)
+            return TruncatedSeries([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         k = min(self.order, other.order)
         a, da = _scaled(self.coeffs, k)
         b, db = _scaled(other.coeffs, k)
@@ -311,20 +300,9 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            return TruncatedSeries([c / s for c in self.coeffs], self.order)
-        return self._coerce(other).reciprocal() * self
-
-    def __rtruediv__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) / self
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], self.order)
-        raise TypeError(f"cannot combine TruncatedSeries with {type(other)!r}")
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return other.reciprocal() * self
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires nonzero constant term."""

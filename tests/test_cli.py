@@ -186,6 +186,17 @@ class TestSweep:
         assert code == 2
         assert "5:2" in err and out == ""
 
+    def test_negative_range_needs_the_equals_form(self, capsys):
+        # argparse reads a value that starts with "-" as an option
+        code, out, _ = run(capsys, "sweep", "--family", "Y28",
+                           "--sweep-range=-3:-1", "--order", "10")
+        assert code == 0
+        assert out.count("PASS") == 3
+        code, out, err = run(capsys, "sweep", "--family", "Y28",
+                             "--sweep-range", "-3:-1")
+        assert code == 2 and out == ""
+        assert "expected one argument" in err
+
     def test_pinned_shift_family_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "Y24",
                            "--sweep-range", "0:2")

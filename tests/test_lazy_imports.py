@@ -128,6 +128,15 @@ def test_star_import_binds_every_public_name():
     assert missing == []
 
 
+def test_dir_lists_every_public_name_without_loading_them():
+    missing, loaded = probe(
+        "import json, sys, gfano\n"
+        "listed = dir(gfano)\n"
+        "print(json.dumps([sorted(set(gfano.__all__) - set(listed)),\n"
+        "                  sorted(m for m in sys.modules if m.startswith('gfano.'))]))")
+    assert missing == [] and loaded == []
+
+
 def test_public_names_are_unchanged():
     names = probe("import json, gfano; print(json.dumps(gfano.__all__))")
     assert len(names) == len(set(names)) == 50

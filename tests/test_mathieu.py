@@ -267,6 +267,12 @@ class TestHeckeChecks:
         assert rep.recursion_checks == 0
         assert rep.character_note == "character route not checked (odd weight)"
 
+    def test_expansion_off_the_cusp_is_refused(self, monkeypatch):
+        monkeypatch.setattr(mathieu, "mason_eta",
+                            lambda g, bound: QExpansion(0, TruncatedSeries.one(bound)))
+        with pytest.raises(SumNot24):
+            hecke_eigenform_check(FrameShape.parse("1^24"), 10, 5)
+
     @pytest.mark.parametrize("bound", [1, 2, 5])
     def test_bound_below_the_first_coprime_pair_is_refused(self, bound):
         with pytest.raises(BoundTooSmall):

@@ -44,6 +44,12 @@ class TestEta:
     def test_offset(self):
         assert eta(5).offset == F(1, 24)
 
+    def test_coefficient_beyond_the_order_raises(self):
+        e = eta(5)
+        assert e.coefficient(F(1, 24) + 5) == 1
+        with pytest.raises(IndexError, match="beyond truncation"):
+            e.coefficient(F(1, 24) + 6)
+
     def test_pentagonal_equals_product_to_500(self):
         got = [int(c) for c in eta(500).body.coeffs]
         assert got == product_oracle(500)
@@ -239,6 +245,10 @@ class TestEisensteinDelta:
         j = klein_j(3)
         assert j.offset == -1
         assert [int(c) for c in j.body.coeffs] == [1, 744, 196884, 21493760]
+
+    def test_e4_needs_order_one(self):
+        with pytest.raises(SeriesError):
+            eisenstein_e4(0)
 
     def test_delta_unit_body(self):
         d = discriminant(10)

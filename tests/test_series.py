@@ -149,6 +149,9 @@ class TestEquality:
         assert self.LONG.agrees_to(self.OTHER, 1)
         assert not self.LONG.agrees_to(self.OTHER, 2)
 
+    def test_a_scalar_is_not_a_series(self):
+        assert (S([1]) == 1) is False
+
     def test_agrees_to_refuses_unknown_coefficients(self):
         with pytest.raises(SeriesError):
             self.PREFIX.agrees_to(self.LONG, 2)
@@ -312,6 +315,35 @@ class TestDivide:
     def test_zero_constant_rejected(self):
         with pytest.raises(ZeroConstantTerm):
             S.one(3) / series(0, 1, 0, 0)
+
+
+class TestOperatorSurface:
+    """The operators are + and * (series or scalar) and / by a series;
+    nothing subtracts, negates, divides by a scalar or indexes."""
+
+    A = B = S([1, 2, 3])
+
+    @pytest.mark.parametrize("op", [
+        pytest.param(lambda a, b: -a, id="neg"),
+        pytest.param(lambda a, b: a - b, id="sub"),
+        pytest.param(lambda a, b: 1 - a, id="rsub"),
+        pytest.param(lambda a, b: a / 2, id="scalar-div"),
+        pytest.param(lambda a, b: 2 / a, id="rtruediv"),
+        pytest.param(lambda a, b: a[0], id="getitem"),
+        pytest.param(lambda a, b: a + "x", id="add-str"),
+        pytest.param(lambda a, b: a * "x", id="mul-str"),
+    ])
+    def test_removed_operations_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(self.A, self.B)
+
+    @pytest.mark.parametrize("op, coeffs", [
+        pytest.param(lambda a, b: a / b, [1, 0, 0], id="div"),
+        pytest.param(lambda a, b: 1 + 2 * a, [3, 4, 6], id="radd-rmul"),
+        pytest.param(lambda a, b: a * F(1, 2), [F(1, 2), 1, F(3, 2)], id="mul-fraction"),
+    ])
+    def test_kept_operations(self, op, coeffs):
+        assert op(self.A, self.B) == S(coeffs, 2)
 
 
 class TestCompose:
@@ -595,6 +627,16 @@ class TestPow:
             series(1, 1, order=4) ** n
 
 
+class TestConstruction:
+    def test_empty_list_needs_an_order(self):
+        with pytest.raises(SeriesError):
+            S([])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError):
+            S([1], -1)
+
+
 class TestExactness:
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -649,6 +691,11 @@ class TestRegularShiftAndNormalize:
         # the series is immutable, so a zero shift runs no Pascal pass
         a = series(2, F(3, 7), 5, F(-1, 4))
         assert regular_shift(a, s) is a
+
+    def test_normalize_at_order_zero_returns_its_argument(self):
+        # no linear coefficient to kill
+        a = series(F(5, 3))
+        assert normalize(a) is a
 
     def test_shift_inverts(self):
         a = series(1, 4, 28, 256, 2716)

@@ -9,7 +9,13 @@ from gfano import d3, periods, qexp, verify
 from gfano.hauptmodul import inverse_hauptmodul, mirror_map
 from gfano.periods import EVEN_REDUCTION, family, iseries
 from gfano.qexp import QExpansion, discriminant
-from gfano.series import SeriesError, TruncatedSeries, normalize, regular_shift
+from gfano.series import (
+    NonUnitConstant,
+    SeriesError,
+    TruncatedSeries,
+    normalize,
+    regular_shift,
+)
 from gfano.verify import (
     BATTERY_KEYS,
     IdentityReport,
@@ -115,6 +121,20 @@ class TestOperatorRoute:
         with pytest.raises(PeriodMismatch) as info:
             verify_identity("Y24", order=20)
         assert isinstance(info.value, SeriesError)
+
+    def test_non_unit_rhs_raises(self, monkeypatch):
+        real = verify.eta_product
+        monkeypatch.setattr(verify, "eta_product", lambda g, order: QExpansion(
+            real(g, order).offset, real(g, order).body * 2))
+        with pytest.raises(NonUnitConstant):
+            verify_identity("Y24", order=10)
+
+    def test_offsets_that_do_not_cancel_raise(self, monkeypatch):
+        real = verify.eta_product
+        monkeypatch.setattr(verify, "eta_product", lambda g, order: QExpansion(
+            real(g, order).offset + 1, real(g, order).body))
+        with pytest.raises(qexp.OffsetError, match="must cancel"):
+            verify_identity("Y24", order=10)
 
     def test_short_residual_raises(self, monkeypatch):
         real = d3.apply_operator_in
@@ -476,6 +496,12 @@ class TestClassicalIdentities:
         assert not report.ok and report.order == 20
         assert report.first_mismatch == (11, -370944, -370943)
         assert verify_kachru_vafa(20).ok
+
+    def test_delta_off_offset_one_is_refused(self, monkeypatch):
+        monkeypatch.setattr(verify, "discriminant",
+                            lambda order: QExpansion(0, discriminant(order).body))
+        with pytest.raises(qexp.OffsetError):
+            verify_delta(10)
 
     def test_delta_body_against_eta_oracle(self):
         d = discriminant(6)
