@@ -12,10 +12,11 @@ mismatching coefficient on failure.
 
 Every family is checked through its D3 operator L, with no series
 composition: the identity is equivalent to F(T) = R with F = normalize(I),
-T = 1/H_{c−s} and R = eta·H_c^{σ₁/24}/(1 + s·T), and that holds through
-q^K exactly when R_0 = 1 and L, written in the variable T, kills R through
-q^K (see `verify_identity`).  The report is the one a composition would
-give, coefficient for coefficient.
+T = 1/H_{c−s} = q/B and R = E·B·(B + s·q)^{σ₁/24 − 1}, for eta = q^{σ₁/24}·E
+and B the body of H_{c−s}, so one Hauptmodul gives both.  That holds
+through q^K exactly when R_0 = 1 and L, written in the variable T, kills R
+through q^K (see `verify_identity`).  The report is the one a composition
+would give, coefficient for coefficient.
 
 Two classical specializations get their own entry points: the square of
 Σ (6n)!/((3n)! n!³) j^{-n} equals E4 exactly, and j⁻¹ times its sixth
@@ -32,7 +33,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import d3, periods
 from .hauptmodul import hauptmodul, inverse_hauptmodul
-from .periods import EVEN_REDUCTION, FamilyDescriptor, family, gseries, iseries
+from .periods import EVEN_REDUCTION, family, gseries, iseries
 from .qexp import (
     ETA_PRODUCTS,
     OffsetError,
@@ -129,7 +130,9 @@ def verify_identity(
     The regular shift is a Möbius substitution,
     regular_shift(F, s)(x) = F(x/(1−sx))/(1−sx), and at x = 1/H_c, as
     H_c = H_{c−s} + s, x/(1−sx) = T = 1/H_{c−s} and 1/(1−sx) = 1 + s·T.  So
-    with F = normalize(I) the identity reads F(T) = R, R = rhs/(1 + s·T).
+    with F = normalize(I), eta = q^e·E and H_{c−s} = B/q the identity reads
+    F(T) = R, R = eta·H_c^e/(1 + s·T) = E·B·(B + s·q)^(e−1): H_{c−s} alone
+    gives T and R, and at e = 1 neither depends on s.
     F is the solution of the family's operator L with F_0 = 1, and the
     t^n coefficient of L g is n³·g_n plus terms in g_0 .. g_(n−1).  So
     R = F∘T through q^K exactly when R_0 = 1 and L, written in T, kills R
@@ -137,8 +140,8 @@ def verify_identity(
     Prop. 21, is why a weight-2 form in a Hauptmodul satisfies such an
     ODE).  At the first q^n (n ≥ 1) where L_T R does not vanish, the two
     sides of the identity differ by −(L_T R)_n/n³, which gives the lhs of
-    the report.  The row is also tied to the closed-form I-series:
-    normalize(I) must be the operator's solution.
+    the report; its rhs is (R·(1 + s·T))_n.  The row is also tied to the
+    closed-form I-series: normalize(I) must be the operator's solution.
 
     An index-2 family's I-series is its index-1 partner's in t², so its
     row is the partner's report at the same s, c and order (`_index2_row`).
@@ -148,24 +151,29 @@ def verify_identity(
         return _index2_row(key, verify_identity(EVEN_REDUCTION[key], s, c, order))
 
     i_series = iseries(key, order)
-    s, c, _, rhs = _modular_side(fam, s, c, order, i_series)
+    s = fam.default_shift(i_series) if s is None else _frac(s)
+    c = s + fam.c_minus_s if c is None else _frac(c)
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
-    if rhs.coeffs[0] != 1:
+    eta = eta_product(ETA_PRODUCTS[fam.eta], order)
+    if eta.offset != fam.exponent:
+        raise OffsetError(f"offsets {eta.offset} and {-fam.exponent} must cancel")
+    h = hauptmodul(fam.hauptmodul, c - s, order)
+    t, b = inverse_hauptmodul(h), h.body
+    r = eta.body * b * (b + TruncatedSeries([0, s], order)).pow_rational(fam.exponent - 1)
+    if r.coeffs[0] != 1:
         raise NonUnitConstant("both sides of the identity must be unit series")
     op = d3.OPERATORS[fam.d3_operator]
     if normalize(i_series) != d3.holomorphic_solution(op, order):
         raise PeriodMismatch(
             f"normalized I-series of {key} is not the solution of {fam.d3_operator}"
         )
-    t = inverse_hauptmodul(hauptmodul(fam.hauptmodul, c - s, order))
-    r = rhs / (1 + s * t) if s else rhs
     residual = d3.apply_operator_in(op, r, t)
     if residual.order != order:
         raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")
     n = next((n for n, x in enumerate(residual.coeffs) if x), None)
     if n is None:
         return IdentityReport(name, key, s, c, order, True)
-    rhs_n = rhs.coeffs[n]
+    rhs_n = (r * (1 + s * t)).coeffs[n]
     return IdentityReport(
         name, key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
     )
@@ -177,19 +185,6 @@ def _index2_row(key: str, base: IdentityReport) -> IdentityReport:
                          family=key)
 
 
-def _modular_side(fam: FamilyDescriptor, s, c, order: int, i_series) -> tuple:
-    """(s, c) defaulted from the family row and its I-series, H_c, and
-    eta·H_c^{σ₁/24} as a unit power series (the q-offsets cancel)."""
-    s = fam.default_shift(i_series) if s is None else _frac(s)
-    c = s + fam.c_minus_s if c is None else _frac(c)
-    h = hauptmodul(fam.hauptmodul, c, order)
-    eta = eta_product(ETA_PRODUCTS[fam.eta], order)
-    h_pow = h.pow_rational(fam.exponent)
-    if eta.offset + h_pow.offset != 0:
-        raise OffsetError(f"offsets {eta.offset} and {h_pow.offset} must cancel")
-    return s, c, h, eta.body * h_pow.body
-
-
 def sweep_free_shift(
     key: str, s_range, order: int = DEFAULT_ORDER
 ) -> List[IdentityReport]:
@@ -197,9 +192,10 @@ def sweep_free_shift(
     family's row.
 
     Only meaningful for the families whose row in `periods.FAMILIES`
-    leaves the shift free (shift None), where the difference c − s is the
-    invariant; for pinned-shift families every off-table shift fails by
-    construction, so they are rejected up front, with the free ones named.
+    leaves the shift free (shift None), where c − s is the invariant.
+    Free means e = σ₁/24 = 1, where T and R = E·B depend on c − s alone.
+    At e ≠ 1 R's q¹ coefficient moves with s, so every off-table shift
+    fails and the family is rejected up front, with the free ones named.
     """
     if family(key).shift is not None:
         free = ", ".join(k for k, f in periods.FAMILIES.items() if f.shift is None)
@@ -225,7 +221,9 @@ def verify_kachru_vafa(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
 
 def verify_delta(order: int = CLASSICAL_MAX_ORDER) -> IdentityReport:
     """j⁻¹ · (Σ (6n)!/((3n)! n!³) j^{-n})⁶ = Delta as offset-1 expansions.
-    As j = E4³/Δ with the same Δ, it fails exactly when the E4 item does."""
+    A bump at q^n of the Δ read here, or of the E4 the E4 item reads, fails
+    only its own item, at q^n; one of the E4 or Δ in j = E4³/Δ fails this
+    item at q^n and the E4 item at q^(n+1), since 1/j starts at q."""
     p = _hypergeometric_in_inverse_j(order)
     p6 = QExpansion(0, p.pow_rational(6))
     lhs = hauptmodul("1A", order=order).reciprocal() * p6

@@ -8,7 +8,7 @@ import pytest
 from gfano import d3, periods, qexp, verify
 from gfano.hauptmodul import inverse_hauptmodul, mirror_map
 from gfano.periods import EVEN_REDUCTION, family, iseries
-from gfano.qexp import QExpansion, discriminant
+from gfano.qexp import ETA_PRODUCTS, QExpansion, discriminant
 from gfano.series import (
     NonUnitConstant,
     SeriesError,
@@ -38,6 +38,20 @@ TABLE_CONFIGS = [
 ]
 
 
+def modular_side(key, s, c, order):
+    """(s, c) defaulted from the family row, H_c and eta·H_c^e as a unit
+    power series, built directly from verify's eta-product and Hauptmodul
+    rather than from the operator route's R."""
+    fam = family(key)
+    s = fam.default_shift(iseries(key, order)) if s is None else F(s)
+    c = s + fam.c_minus_s if c is None else F(c)
+    h = verify.hauptmodul(fam.hauptmodul, c, order)
+    eta = verify.eta_product(ETA_PRODUCTS[fam.eta], order)
+    h_pow = h.pow_rational(fam.exponent)
+    assert eta.offset + h_pow.offset == 0
+    return s, c, h, eta.body * h_pow.body
+
+
 def compose_route(key, s=None, c=None, order=60):
     """The identity checked by composition, the oracle of the operator
     route: I_s composed with 1/H_c, against eta·H_c^e, coefficient by
@@ -48,7 +62,7 @@ def compose_route(key, s=None, c=None, order=60):
         return IdentityReport(f"{key} via {EVEN_REDUCTION[key]}: {base.name}", key,
                               base.s, base.c, base.order, base.ok, base.first_mismatch)
     base = iseries(key, order)
-    s, c, h, rhs = verify._modular_side(fam, s, c, order, base)
+    s, c, h, rhs = modular_side(key, s, c, order)
     lhs = regular_shift(base, s - base.coeffs[1]).compose(inverse_hauptmodul(h).truncate(order))
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     bad = next((n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
@@ -62,21 +76,14 @@ def m_series(key, s=None, c=None, order=60):
     of t = 1/H_c.  It never touches the hypergeometric generators."""
     if key in EVEN_REDUCTION:
         raise ValueError("index-2 families reduce to their index-1 partners")
-    _, _, h, rhs = verify._modular_side(family(key), s, c, order, iseries(key, order))
+    _, _, h, rhs = modular_side(key, s, c, order)
     return rhs.compose(mirror_map(h, order))
 
 
 def tamper_rhs(monkeypatch, n):
-    """Make verify's right-hand side eta·H^e wrong by 1/3 at q^n."""
-    real = verify._modular_side
-
-    def tampered(*args):
-        s, c, h, rhs = real(*args)
-        cs = list(rhs.coeffs)
-        cs[n] += F(1, 3)
-        return s, c, h, TruncatedSeries(cs, rhs.order)
-
-    monkeypatch.setattr(verify, "_modular_side", tampered)
+    """Make the right-hand side eta·H^e wrong by 1/3 at q^n: bump the
+    eta-product body that verify and the composition oracle both read."""
+    monkeypatch.setattr(verify, "eta_product", bumped_body(verify.eta_product, n, F(1, 3)))
 
 
 class TestOperatorRoute:
@@ -172,13 +179,13 @@ class TestTableRows:
             assert report.first_mismatch[0] == 1
 
 
-def bumped_body(real, n):
-    """`real` with 1 added to body coefficient n of the q-expansion it returns."""
+def bumped_body(real, n, by=1):
+    """`real` with `by` added to body coefficient n of the q-expansion it returns."""
 
     def tampered(*args):
         q = real(*args)
         cs = list(q.body.coeffs)
-        cs[n] += 1
+        cs[n] += by
         return QExpansion(q.offset, TruncatedSeries(cs, q.order))
 
     return tampered
@@ -229,12 +236,12 @@ class TestMutations:
 
 class TestMutationSweep:
     """Every coefficient the identity check claims is read: one bump by 1
-    at body index n of the eta-product or of the Hauptmodul (both H_c and
-    H_(c−s)) makes the row fail at exactly q^n, for every n through the
-    order, q^K included; an index-2 row does so under its own name.  A bump
-    of the I-series at any n, or of one operator parameter b_i by ±1,
-    raises PeriodMismatch.  A bump of E4 or Δ fails the E4 and Delta items
-    where the shape of j predicts."""
+    at body index n of the eta-product or of the Hauptmodul H_(c−s), the
+    one the row builds for both T and R, makes the row fail at exactly
+    q^n, for every n through the order, q^K included; an index-2 row does
+    so under its own name.  A bump of the I-series at any n, or of one
+    operator parameter b_i by ±1, raises PeriodMismatch.  A bump of E4 or
+    Δ fails the E4 and Delta items where the shape of j predicts."""
 
     @pytest.mark.parametrize("part", ["eta_product", "hauptmodul"])
     @pytest.mark.parametrize("key", INDEX1_KEYS)
@@ -350,29 +357,75 @@ def raises_period_mismatch(key):
 
 class TestZeroShift:
     @staticmethod
-    def count_inverse_hauptmoduln(monkeypatch, key):
-        calls = []
-        real = verify.inverse_hauptmodul
+    def count_hauptmoduln(monkeypatch, key):
+        """The row's report, the c of each verify.hauptmodul call and the
+        number of inverse Hauptmoduln built."""
+        built, inverted = [], []
+        real_h, real_inv = verify.hauptmodul, verify.inverse_hauptmodul
 
-        def counted(h):
-            calls.append(h)
-            return real(h)
+        def counted_h(label, c, order):
+            built.append(c)
+            return real_h(label, c, order)
 
-        monkeypatch.setattr(verify, "inverse_hauptmodul", counted)
-        return verify_identity(key, order=30), len(calls)
+        def counted_inv(h):
+            inverted.append(h)
+            return real_inv(h)
+
+        monkeypatch.setattr(verify, "hauptmodul", counted_h)
+        monkeypatch.setattr(verify, "inverse_hauptmodul", counted_inv)
+        return verify_identity(key, order=30), built, len(inverted)
 
     def test_y28_builds_one_inverse_hauptmodul(self, monkeypatch):
-        # at s = 0 the factor 1/(1 + s·T) is 1, so only T = 1/H_(c−s) is built
-        report, calls = self.count_inverse_hauptmoduln(monkeypatch, "Y28")
+        # R = E·B·(B + s·q)^(e−1) has no factor 1 + s·T to divide by, so
+        # only T = 1/H_(c−s) is inverted
+        report, built, inverted = self.count_hauptmoduln(monkeypatch, "Y28")
         assert report.ok and report.s == 0
-        assert calls == 1
+        assert inverted == 1
 
     @pytest.mark.parametrize("key", INDEX1_KEYS)
     def test_every_row_builds_one_inverse_hauptmodul(self, monkeypatch, key):
-        # the factor is written through T, so s ≠ 0 builds no 1/H_c either
-        report, calls = self.count_inverse_hauptmoduln(monkeypatch, key)
+        # one Hauptmodul, H_(c−s), gives both T and R: no H_c is built
+        report, built, inverted = self.count_hauptmoduln(monkeypatch, key)
         assert report.ok
-        assert calls == 1
+        assert built == [report.c - report.s]
+        assert inverted == 1
+
+
+class TestFreeMeansExponentOne:
+    """T = q/B and R = E·B·(B + s·q)^(e−1), B the body of H_(c−s), move
+    with s at fixed c − s only through (B + s·q)^(e−1), whose q¹
+    coefficient moves by (e − 1)·δ when s does by δ.  So at e = 1 every s
+    with the row's c − s gives one and the same check, and at e ≠ 1
+    moving s and c together fails at q¹."""
+
+    def test_free_rows_are_the_exponent_one_rows(self):
+        free = [k for k, f in periods.FAMILIES.items() if f.shift is None]
+        assert free == [k for k, f in periods.FAMILIES.items() if f.exponent == 1]
+        assert free == ["Y28", "Y30"]
+
+    @pytest.mark.parametrize("delta", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("key", INDEX1_KEYS)
+    def test_moving_s_and_c_together(self, key, delta):
+        row = verify_identity(key, order=20)
+        report = verify_identity(key, row.s + delta, row.c + delta, 20)
+        if family(key).exponent == 1:
+            assert report.ok
+        else:
+            assert not report.ok and report.first_mismatch[0] == 1
+
+    @pytest.mark.parametrize("key", ["Y28", "Y30"])
+    def test_operator_inputs_do_not_depend_on_s(self, monkeypatch, key):
+        real = d3.apply_operator_in
+        seen = []
+
+        def captured(op, f, t):
+            seen.append((f, t))
+            return real(op, f, t)
+
+        monkeypatch.setattr(d3, "apply_operator_in", captured)
+        assert all(verify_identity(key, s, s + 1, 20).ok for s in range(-3, 4))
+        assert len(seen) == 7
+        assert all(pair == seen[0] for pair in seen)
 
 
 class TestFreeShiftSweeps:
