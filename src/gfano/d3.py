@@ -76,13 +76,6 @@ class D3Operator(_Parameters):
         return super().__new__(cls, _frac(b1), _frac(b2), _frac(b3),
                                _frac(b4), _frac(b5))
 
-    def to_json(self) -> dict:
-        return {"b": [str(b) for b in (self.b1, self.b2, self.b3, self.b4, self.b5)]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "D3Operator":
-        return cls(*data["b"])
-
 
 #: The seven operators annihilating the normalized G-Fano quantum periods.
 OPERATORS = {

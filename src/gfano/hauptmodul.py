@@ -78,6 +78,8 @@ def renormalize_constant(h: QExpansion, c: Rational) -> QExpansion:
     """Replace the q⁰ coefficient by c, leaving every other one untouched."""
     if h.offset != -1:
         raise WrongOffset(f"expected offset -1, got {h.offset}")
+    if h.order < 1:
+        raise SeriesError("H must be known through q^0; it is known only through q^-1")
     cs = list(h.body.coeffs)
     cs[1] = _frac(c)
     return QExpansion(-1, TruncatedSeries(cs, h.order))

@@ -334,8 +334,9 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
     Hecke recursion a(p^{r+1}) = a(p) a(p^r) - p^{w-1} a(p^{r-1}).
 
     Odd-weight shapes carry a quadratic nebentypus whose conductor the
-    tables do not pin down, so only coprime multiplicativity is checked
-    for them and the recursion is reported as skipped.  The body is read
+    tables do not pin down, and half-integral weights (24^1, 8^3) have no
+    such recursion at p, so only coprime multiplicativity is checked for
+    them and the recursion is reported as skipped.  The body is read
     once as integer numerators over one denominator, so every comparison
     is between ints.  A bound below 6 would compare no coprime pair and
     pass vacuously, so it is refused.
@@ -378,6 +379,8 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
                 if lhs != rhs:
                     violations.append(f"Hecke recursion fails at p={p}, r={r}")
                 r += 1
+    elif w.denominator != 1:
+        character_note = "character route not checked (half-integral weight)"
     else:
         character_note = "character route not checked (odd weight)"
 

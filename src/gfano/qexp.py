@@ -79,15 +79,6 @@ class QExpansion:
     def order(self) -> int:
         return self.body.order
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        """Coefficient of q^exponent (zero off the support lattice)."""
-        idx = _frac(exponent) - self.offset
-        if idx.denominator != 1 or idx < 0:
-            return Fraction(0)
-        if idx > self.order:
-            raise IndexError(f"q^{exponent} beyond truncation")
-        return self.body.coeffs[int(idx)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented

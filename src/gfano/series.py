@@ -10,7 +10,8 @@ operands.  A composite outer∘inner is known through
 t^min(K_in, (K_out+1)·v − 1), v the inner valuation: its first unknown
 outer term starts at t^((K_out+1)·v).
 Equality is strict: two series are equal when they have the same order
-and the same coefficients; `agrees_to` compares a prefix explicitly.
+and the same coefficients.  To compare through t^k, check that both orders
+reach k, then compare `a.coeffs[:k + 1] == b.coeffs[:k + 1]`.
 
 Products, reciprocals, integer and rational powers, compositions and
 reversion run on one integer core.  A coefficient slice is scaled by the
@@ -248,15 +249,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def agrees_to(self, other: "TruncatedSeries", k: int) -> bool:
-        """Whether the coefficients of t^0 .. t^k are equal; both series
-        must be known through t^k."""
-        if k > min(self.order, other.order):
-            raise SeriesError(
-                f"cannot compare through t^{k}: orders are {self.order} and {other.order}"
-            )
-        return self.coeffs[: k + 1] == other.coeffs[: k + 1]
-
     def __hash__(self):
         return hash(self.coeffs)
 
@@ -268,10 +260,6 @@ class TruncatedSeries:
     def to_json(self) -> dict:
         """JSON form {"order": K, "coeffs": ["p/q", ...]} with reduced fractions."""
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncatedSeries":
-        return cls(data["coeffs"], data["order"])
 
     # -- ring arithmetic ----------------------------------------------------
 

@@ -210,18 +210,10 @@ class TestBasisChange:
         assert a_basis(OPERATORS["L12"]) == (24, 144, 576, 2, 36)
 
 
-class TestJson:
-    def test_schema(self):
-        assert OPERATORS["L6,2"].to_json() == {"b": ["6", "368", "88", "1056", "3584"]}
-
-    def test_roundtrip(self):
-        op = D3Operator(1, F(-3, 2), 0, 7, F(22, 7))
-        assert D3Operator.from_json(op.to_json()) == op
-
-    def test_float_parameter_rejected(self):
-        with pytest.raises(TypeError):
-            D3Operator.from_json({"b": [0.1, 1, 2, 3, 4]})
+class TestConstruction:
+    def test_l62_parameters(self):
+        assert OPERATORS["L6,2"] == D3Operator(6, 368, 88, 1056, 3584)
 
     def test_int_fraction_and_string_parameters_accepted(self):
-        op = D3Operator.from_json({"b": [1, F(-3, 2), "0", "7", "22/7"]})
+        op = D3Operator(1, F(-3, 2), "0", "7", "22/7")
         assert op == D3Operator(1, F(-3, 2), 0, 7, F(22, 7))

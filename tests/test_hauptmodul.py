@@ -211,6 +211,10 @@ class TestRenormalize:
         with pytest.raises(WrongOffset):
             renormalize_constant(QExpansion(0, TruncatedSeries([1, 2], 1)), 5)
 
+    def test_h_unknown_at_q0_is_refused(self):
+        with pytest.raises(SeriesError, match=r"through q\^0"):
+            renormalize_constant(QExpansion(-1, TruncatedSeries([1], 0)), 5)
+
 
 class TestInverseAndMirror:
     def test_inverse_of_bare_pole(self):

@@ -1,6 +1,7 @@
 """Import surface: `import gfano` loads no submodule, each command loads
 only the modules it runs, and every public name resolves to its
-submodule's object however the submodules were loaded.
+submodule's object however the submodules were loaded.  Methods removed
+from the public classes stay removed.
 
 Each probe runs in a fresh interpreter, since the test session itself has
 imported the whole package."""
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gfano
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNNEEDED_MODULES = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
@@ -135,6 +138,18 @@ def test_dir_lists_every_public_name_without_loading_them():
         "print(json.dumps([sorted(set(gfano.__all__) - set(listed)),\n"
         "                  sorted(m for m in sys.modules if m.startswith('gfano.'))]))")
     assert missing == [] and loaded == []
+
+
+@pytest.mark.parametrize("owner, method", [
+    ("TruncatedSeries", "from_json"),
+    ("TruncatedSeries", "agrees_to"),
+    ("D3Operator", "from_json"),
+    ("D3Operator", "to_json"),
+    ("QExpansion", "coefficient"),
+])
+def test_removed_methods_are_gone(owner, method):
+    with pytest.raises(AttributeError):
+        getattr(getattr(gfano, owner), method)
 
 
 def test_public_names_are_unchanged():

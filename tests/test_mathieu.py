@@ -267,6 +267,13 @@ class TestHeckeChecks:
         assert rep.recursion_checks == 0
         assert rep.character_note == "character route not checked (odd weight)"
 
+    @pytest.mark.parametrize("shape", ["24^1", "8^3"])
+    def test_half_integral_weight_skips_recursion(self, shape):
+        rep = hecke_eigenform_check(FrameShape.parse(shape), 100, 10)
+        assert rep.ok and rep.weight.denominator == 2
+        assert rep.recursion_checks == 0
+        assert rep.character_note == "character route not checked (half-integral weight)"
+
     def test_expansion_off_the_cusp_is_refused(self, monkeypatch):
         monkeypatch.setattr(mathieu, "mason_eta",
                             lambda g, bound: QExpansion(0, TruncatedSeries.one(bound)))

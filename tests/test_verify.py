@@ -558,8 +558,8 @@ class TestClassicalIdentities:
 
     def test_delta_body_against_eta_oracle(self):
         d = discriminant(6)
-        assert d.coefficient(1) == 1
-        assert d.coefficient(2) == -24
+        assert d.offset == 1
+        assert d.body.coeffs[:2] == (1, -24)
 
 
 class TestBattery:
