@@ -31,7 +31,7 @@ print("fixed points = epsilon(order), cycles = iota(order):",
 print()
 print("== the fixed-point-free M24 shapes are eigenforms too ==")
 for g in M24_EXTRA_SHAPES:
-    rep = hecke_eigenform_check(g, bound=120, prime_bound=12)
+    rep = hecke_eigenform_check(g, bound=120)
     note = rep.character_note or "recursion checked"
     print(f"  {str(g):20s} weight {rep.weight} level {rep.level:3d} "
           f"{'PASS' if rep.ok else 'FAIL'} ({note})")

@@ -41,7 +41,7 @@ as exceptions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .qexp import EtaQuotient, ParseError, QExpansion, eta_product
@@ -242,7 +242,10 @@ class FixedPointEntry(NamedTuple):
     epsilon: Fraction
     cycles: int
     iota: Fraction
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.fixed_points == self.epsilon and self.cycles == self.iota
 
     def to_json(self) -> dict:
         return {
@@ -262,13 +265,8 @@ def frobenius_mukai_check() -> dict:
     The non-M23 orders 10 and 12 appearing in the printed table (starred
     there) are reported as exceptions with both values, not failed.
     """
-    entries = []
-    for g in M23_SHAPES:
-        n = g.order
-        ok = g.fixed_points == epsilon(n) and g.cycles == iota(n)
-        entries.append(FixedPointEntry(
-            str(g), n, g.fixed_points, epsilon(n), g.cycles, iota(n), ok,
-        ))
+    entries = [FixedPointEntry(str(g), g.order, g.fixed_points, epsilon(g.order),
+                               g.cycles, iota(g.order)) for g in M23_SHAPES]
     exceptions = []
     for g in M24_EXTRA_SHAPES:
         n = g.order
@@ -299,7 +297,6 @@ class HeckeReport(NamedTuple):
     weight: Fraction
     level: int
     bound: int
-    prime_bound: int
     multiplicative_pairs: int
     recursion_checks: int
     character_note: Optional[str]
@@ -315,7 +312,6 @@ class HeckeReport(NamedTuple):
             "weight": str(self.weight),
             "level": self.level,
             "bound": self.bound,
-            "prime_bound": self.prime_bound,
             "multiplicative_pairs": self.multiplicative_pairs,
             "recursion_checks": self.recursion_checks,
             "character_note": self.character_note,
@@ -328,10 +324,10 @@ def _primes_upto(n: int) -> List[int]:
     return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
 
 
-def hecke_eigenform_check(g: FrameShape, bound: int = 200,
-                          prime_bound: int = 20) -> HeckeReport:
+def hecke_eigenform_check(g: FrameShape, bound: int = 200) -> HeckeReport:
     """Coefficient multiplicativity and (for even weight) the prime-power
-    Hecke recursion a(p^{r+1}) = a(p) a(p^r) - p^{w-1} a(p^{r-1}).
+    Hecke recursion a(p^{r+1}) = a(p) a(p^r) - p^{w-1} a(p^{r-1}) at every
+    prime p ∤ level with p² ≤ bound.
 
     Odd-weight shapes carry a quadratic nebentypus whose conductor the
     tables do not pin down, and half-integral weights (24^1, 8^3) have no
@@ -368,7 +364,7 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
     w = g.weight
     if w.denominator == 1 and w % 2 == 0:
         pw = int(w) - 1
-        for p in _primes_upto(prime_bound):
+        for p in _primes_upto(isqrt(bound)):
             if g.level % p == 0:
                 continue
             r = 1
@@ -384,7 +380,7 @@ def hecke_eigenform_check(g: FrameShape, bound: int = 200,
     else:
         character_note = "character route not checked (odd weight)"
 
-    return HeckeReport(str(g), w, g.level, bound, prime_bound, pairs,
+    return HeckeReport(str(g), w, g.level, bound, pairs,
                        recursion_checks, character_note, tuple(violations))
 
 

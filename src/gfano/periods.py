@@ -141,6 +141,7 @@ FAMILIES: Dict[str, FamilyDescriptor] = {
         FamilyDescriptor("Y12_3", 6, 12, 3, 1, 6, 8, "6A", "6+", "L6,3"),
         FamilyDescriptor("Y20", 10, 20, 2, 1, 2, 2, "10A", "10+", "L10"),
         FamilyDescriptor("Y24", 12, 24, 4, 1, 4, 2, "12A", "12+", "L12"),
+        # No closed form: Y28's period tie compares L14's solution with itself.
         FamilyDescriptor("Y28", 14, 28, 2, 1, None, 1, "14A", "14+", "L14"),
         FamilyDescriptor("Y30", 15, 30, 3, 1, None, 1, "15A", "15+", "L15"),
         FamilyDescriptor("Y48_2", 6, 48, 2, 2, 0, 1, "6A", "6+", None),

@@ -214,7 +214,7 @@ def eta_product(g: EtaQuotient, order: int) -> QExpansion:
     for i, a in g.counts:
         e = _eta_body_coeffs(order // i)
         if a != 1:
-            e = _miller(e, 1, a, 1, order // i)
+            e = _miller(e, a, 1, order // i)
         body = _convolve(_terms(body, order), [(i * n, x) for n, x in enumerate(e) if x], order)
     return QExpansion(Fraction(g.sigma1, 24), TruncatedSeries(body, order))
 

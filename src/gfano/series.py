@@ -146,8 +146,8 @@ def _horner(polys: Sequence[list[int]], v: Sequence[int], e: int,
     return acc, e_power
 
 
-def _miller(a: Sequence[int], d: int, u: int, m: int, k: int) -> list[int]:
-    """(a/d)^(u/m) through t^k for numerators a with a[0] == d: the integers
+def _miller(a: Sequence[int], u: int, m: int, k: int) -> list[int]:
+    """(a/d)^(u/m) through t^k for integers a, d = a[0] ≠ 0: the integers
     P_n = (m²d)^n·p_n, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
     §4.7) over the nonzero a_j only,
 
@@ -158,7 +158,7 @@ def _miller(a: Sequence[int], d: int, u: int, m: int, k: int) -> list[int]:
     every weight is −mn, so the step is P_n = −Σ_j a_j·m^(2j)·d^(j−1)·P_(n−j)
     with no weight product and no division.
     """
-    s = m * m
+    s, d = m * m, a[0]
     w = [(j, x * s ** j * d ** (j - 1)) for j, x in _terms(a, k)[1:]]
     p = [1]
     if u == -m:
@@ -324,7 +324,7 @@ class TruncatedSeries:
         num, den = lead.numerator, lead.denominator
         step = m * m * a0
         out = [Fraction(0)] * shift
-        for pn in _miller(a, a0, u, m, k - shift):
+        for pn in _miller(a, u, m, k - shift):
             out.append(Fraction(num * pn, den))
             den *= step
         return TruncatedSeries(out, k)

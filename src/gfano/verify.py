@@ -72,9 +72,9 @@ class PeriodMismatch(SeriesError):
 class IdentityReport(NamedTuple):
     """Outcome of one exact identity check.
 
-    PASS means every coefficient up to the stated order agrees exactly;
-    otherwise first_mismatch holds (q-order, lhs, rhs) of the earliest
-    disagreement.
+    PASS (ok) means every coefficient up to the stated order agrees exactly,
+    so first_mismatch is None; otherwise it holds (q-order, lhs, rhs) of the
+    earliest disagreement.
     """
 
     name: str
@@ -82,8 +82,11 @@ class IdentityReport(NamedTuple):
     s: Optional[Fraction]
     c: Optional[Fraction]
     order: int
-    ok: bool
     first_mismatch: Optional[Tuple[int, Fraction, Fraction]] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_mismatch is None
 
     @property
     def status(self) -> str:
@@ -110,12 +113,9 @@ class IdentityReport(NamedTuple):
 def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityReport:
     """A family-free report on lhs = rhs, through the order both sides reach."""
     k = min(lhs.order, rhs.order)
-    for n in range(k + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return IdentityReport(
-                name, None, None, None, k, False, (n, lhs.coeffs[n], rhs.coeffs[n])
-            )
-    return IdentityReport(name, None, None, None, k, True)
+    n = next((n for n in range(k + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
+    mismatch = None if n is None else (n, lhs.coeffs[n], rhs.coeffs[n])
+    return IdentityReport(name, None, None, None, k, mismatch)
 
 
 def verify_identity(
@@ -141,7 +141,8 @@ def verify_identity(
     ODE).  At the first q^n (n ≥ 1) where L_T R does not vanish, the two
     sides of the identity differ by −(L_T R)_n/n³, which gives the lhs of
     the report; its rhs is (R·(1 + s·T))_n.  The row is also tied to the
-    closed-form I-series: normalize(I) must be the operator's solution.
+    closed-form I-series: normalize(I) must be the operator's solution
+    (Y28 has none: its I-series is L14's solution, tied to itself).
 
     An index-2 family's I-series is its index-1 partner's in t², so its
     row is the partner's report at the same s, c and order (`_index2_row`).
@@ -172,10 +173,10 @@ def verify_identity(
         raise SeriesError(f"residual known through q^{residual.order}, not q^{order}")
     n = next((n for n, x in enumerate(residual.coeffs) if x), None)
     if n is None:
-        return IdentityReport(name, key, s, c, order, True)
+        return IdentityReport(name, key, s, c, order)
     rhs_n = (r * (1 + s * t)).coeffs[n]
     return IdentityReport(
-        name, key, s, c, order, False, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
+        name, key, s, c, order, (n, rhs_n - residual.coeffs[n] / n ** 3, rhs_n)
     )
 
 

@@ -203,12 +203,12 @@ def test_criterion7_hecke_on_even_weight_shapes():
     even = [g for g in mathieu.M24_SHAPES if g.weight % 2 == 0]
     ok = len(even) == 14
     for g in even:
-        report = mathieu.hecke_eigenform_check(g, bound=200, prime_bound=20)
+        report = mathieu.hecke_eigenform_check(g, bound=200)
         ok &= report.ok and report.multiplicative_pairs > 0
         if any(g.level % p for p in (2, 3, 5, 7, 11, 13, 17, 19)):
             ok &= report.recursion_checks > 0
     elapsed = time.time() - start
-    assert record("7 multiplicativity <= 200 + Hecke recursion p <= 20", ok,
+    assert record("7 multiplicativity <= 200 + Hecke recursion p^2 <= 200", ok,
                   f"{len(even)} even-weight shapes, {elapsed:.2f}s")
 
 

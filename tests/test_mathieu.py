@@ -1,5 +1,7 @@
 """Frame shapes, the φ ψ ε ι arithmetic, and Mason's eigenform checks."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 from math import gcd
 
@@ -39,8 +41,22 @@ from gfano.series import TruncatedSeries
 #: eta-product before it became the σ₁ recurrence.
 MASON_DIGEST_210 = "fd6098f36c251036b30353f49856af8f95f4aa236b2edd3a6b3f5fae85b5d792"
 
+#: sha256 of the JSON list of (shape, bound, multiplicative_pairs,
+#: recursion_checks, violations, character_note, ok) over HECKE_CONFIGS,
+#: recorded when each caller still passed a prime bound at or above
+#: √bound (20 at 210, 200 and 150, 12 at 120, 10 or 5 below).
+HECKE_DIGEST = "feaf33718b1fabe9b542e4cada892a6fc5dbe824299e29a19c5d66a4720cb025"
+HECKE_CONFIGS = (
+    [(g, 210) for g in M24_SHAPES + S24_EXTRA_SHAPES]
+    + [(g, 120) for g in M24_EXTRA_SHAPES]
+    + [(g, 200) for g in M24_SHAPES]
+    + [(g, 150) for g in M24_SHAPES + S24_EXTRA_SHAPES]
+    + [(FrameShape.parse(text), bound) for text, bound in
+       [("1^24", 60), ("1^4 2^2 4^4", 100), ("1^24", 10), ("1^24", 6)]]
+)
 
-def fraction_hecke_violations(a, g, bound, prime_bound):
+
+def fraction_hecke_violations(a, g, bound):
     """The Hecke comparisons on Fraction coefficients a[1..bound]."""
     out = []
     for m in range(2, bound + 1):
@@ -49,7 +65,7 @@ def fraction_hecke_violations(a, g, bound, prime_bound):
                 out.append(f"a({m})a({n}) != a({m*n})")
     pw = int(g.weight) - 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
-        if p > prime_bound or g.level % p == 0:
+        if g.level % p == 0:
             continue
         r = 1
         while p ** (r + 1) <= bound:
@@ -249,7 +265,7 @@ class TestMasonEta:
 
 class TestHeckeChecks:
     def test_ramanujan_tau_multiplicativity(self):
-        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 60, 10)
+        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 60)
         assert rep.ok
         f = mason_eta(FrameShape.parse("1^24"), 10)
         a2, a3, a6 = (f.body.coeffs[i] for i in (1, 2, 5))
@@ -257,19 +273,19 @@ class TestHeckeChecks:
         assert a2 * a3 == a6
 
     def test_level2_weight8_to_200(self):
-        rep = hecke_eigenform_check(FrameShape.parse("1^8 2^8"), 200, 20)
+        rep = hecke_eigenform_check(FrameShape.parse("1^8 2^8"), 200)
         assert rep.ok and rep.weight == 8 and rep.level == 2
         assert rep.recursion_checks > 0
 
     def test_odd_weight_skips_recursion(self):
-        rep = hecke_eigenform_check(FrameShape.parse("1^4 2^2 4^4"), 100, 10)
+        rep = hecke_eigenform_check(FrameShape.parse("1^4 2^2 4^4"), 100)
         assert rep.ok
         assert rep.recursion_checks == 0
         assert rep.character_note == "character route not checked (odd weight)"
 
     @pytest.mark.parametrize("shape", ["24^1", "8^3"])
     def test_half_integral_weight_skips_recursion(self, shape):
-        rep = hecke_eigenform_check(FrameShape.parse(shape), 100, 10)
+        rep = hecke_eigenform_check(FrameShape.parse(shape), 100)
         assert rep.ok and rep.weight.denominator == 2
         assert rep.recursion_checks == 0
         assert rep.character_note == "character route not checked (half-integral weight)"
@@ -278,29 +294,29 @@ class TestHeckeChecks:
         monkeypatch.setattr(mathieu, "mason_eta",
                             lambda g, bound: QExpansion(0, TruncatedSeries.one(bound)))
         with pytest.raises(SumNot24):
-            hecke_eigenform_check(FrameShape.parse("1^24"), 10, 5)
+            hecke_eigenform_check(FrameShape.parse("1^24"), 10)
 
     @pytest.mark.parametrize("bound", [1, 2, 5])
     def test_bound_below_the_first_coprime_pair_is_refused(self, bound):
         with pytest.raises(BoundTooSmall):
-            hecke_eigenform_check(FrameShape.parse("1^24"), bound, 10)
+            hecke_eigenform_check(FrameShape.parse("1^24"), bound)
 
     def test_bound_6_checks_the_pair_2_3(self, monkeypatch):
-        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10)
+        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6)
         assert rep.ok and rep.multiplicative_pairs == 1
         # a(2)·a(3) = a(6) is the one product compared
         body = list(discriminant(6).body.coeffs)
         body[5] += 1
         monkeypatch.setattr(mathieu, "mason_eta",
                             lambda g, order: QExpansion(1, TruncatedSeries(body, 5)))
-        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10)
+        rep = hecke_eigenform_check(FrameShape.parse("1^24"), 6)
         assert rep.violations == ("a(2)a(3) != a(6)",)
 
     def test_report_json(self, monkeypatch):
         g = FrameShape.parse("1^4 2^2 4^4")
-        assert hecke_eigenform_check(g, 100, 10).to_json() == {
+        assert hecke_eigenform_check(g, 100).to_json() == {
             "shape": "1^4 2^2 4^4", "weight": "5", "level": 4, "bound": 100,
-            "prime_bound": 10, "multiplicative_pairs": 80, "recursion_checks": 0,
+            "multiplicative_pairs": 80, "recursion_checks": 0,
             "character_note": "character route not checked (odd weight)",
             "status": "PASS", "violations": [],
         }
@@ -308,14 +324,14 @@ class TestHeckeChecks:
         body[5] += 1
         monkeypatch.setattr(mathieu, "mason_eta",
                             lambda g, order: QExpansion(1, TruncatedSeries(body, 5)))
-        data = hecke_eigenform_check(FrameShape.parse("1^24"), 6, 10).to_json()
+        data = hecke_eigenform_check(FrameShape.parse("1^24"), 6).to_json()
         assert data["status"] == "FAIL"
         assert data["violations"] == ["a(2)a(3) != a(6)"]
 
     @pytest.mark.parametrize("g", M24_SHAPES + S24_EXTRA_SHAPES,
                              ids=lambda g: str(g).replace(" ", ","))
     def test_all_shapes_pass_at_150(self, g):
-        rep = hecke_eigenform_check(g, 150, 20)
+        rep = hecke_eigenform_check(g, 150)
         assert rep.ok, rep.violations
 
     @pytest.mark.parametrize("variant", ["tau", "tau/n", "tau/n^11", "tau, a(59)=1/2"])
@@ -332,11 +348,22 @@ class TestHeckeChecks:
             body = [c / (n + 1) ** k for n, c in enumerate(body)]
         monkeypatch.setattr(mathieu, "mason_eta",
                             lambda g, order: QExpansion(1, TruncatedSeries(body, 60)))
-        rep = hecke_eigenform_check(g, 60, 10)
-        expected = fraction_hecke_violations([None, *body], g, 60, 10)
+        rep = hecke_eigenform_check(g, 60)
+        expected = fraction_hecke_violations([None, *body], g, 60)
         assert list(rep.violations) == expected
         assert rep.ok == (variant in ("tau", "tau, a(59)=1/2"))
         assert rep.multiplicative_pairs > 0 and rep.recursion_checks > 0
+
+    def test_primes_up_to_the_root_of_the_bound_run_the_recorded_checks(self):
+        rows = []
+        for g, bound in HECKE_CONFIGS:
+            rep = hecke_eigenform_check(g, bound)
+            rows.append([rep.shape, rep.bound, rep.multiplicative_pairs,
+                         rep.recursion_checks, list(rep.violations),
+                         rep.character_note, rep.ok])
+        assert len(rows) == 90
+        assert sum(row[3] for row in rows) == 425
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == HECKE_DIGEST
 
 
 class TestCorrespondence:

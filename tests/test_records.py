@@ -2,6 +2,7 @@
 (the pooled battery sends reports between processes), and built by
 keyword as well as by position."""
 
+import inspect
 import pickle
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ MAKERS = {
     EtaQuotient: lambda: EtaQuotient.parse("2^4 6^4 1^-1 3^-1 4^-1 12^-1"),
     FrameShape: lambda: FrameShape.parse("1^2 2^2 3^2 6^2"),
     FixedPointEntry: lambda: frobenius_mukai_check()["entries"][5],
-    HeckeReport: lambda: hecke_eigenform_check(FrameShape.parse("1^24"), 12, 5),
+    HeckeReport: lambda: hecke_eigenform_check(FrameShape.parse("1^24"), 12),
 }
 IDS = [cls.__name__ for cls in MAKERS]
 RECORDS = pytest.mark.parametrize("make", MAKERS.values(), ids=IDS)
@@ -39,13 +40,25 @@ FIELDS = {
     D3Operator: "b1 b2 b3 b4 b5",
     FamilyDescriptor: "key N degree rho index shift c_minus_s hauptmodul eta "
                       "d3_operator",
-    IdentityReport: "name family s c order ok first_mismatch",
+    IdentityReport: "name family s c order first_mismatch",
     EtaQuotient: "counts",
     FrameShape: "counts",
-    FixedPointEntry: "shape order fixed_points epsilon cycles iota ok",
-    HeckeReport: "shape weight level bound prime_bound multiplicative_pairs "
-                 "recursion_checks character_note violations",
+    FixedPointEntry: "shape order fixed_points epsilon cycles iota",
+    HeckeReport: "shape weight level bound multiplicative_pairs recursion_checks "
+                 "character_note violations",
 }
+
+
+def test_verdicts_and_prime_range_are_derived_not_stored():
+    assert "ok" not in IdentityReport._fields and "ok" not in FixedPointEntry._fields
+    assert "prime_bound" not in HeckeReport._fields
+    assert list(inspect.signature(hecke_eigenform_check).parameters) == ["g", "bound"]
+    bad = IdentityReport("x", None, None, None, 5, (3, F(1), F(2)))
+    assert not bad.ok and bad.to_json()["status"] == "FAIL"
+    assert IdentityReport("x", None, None, None, 5).to_json()["status"] == "PASS"
+    entry = FixedPointEntry("1^24", 1, 23, F(24), 24, F(24))
+    assert not entry.ok and entry.to_json()["status"] == "FAIL"
+    assert entry._replace(fixed_points=24).ok
 
 
 @RECORDS

@@ -60,14 +60,14 @@ def compose_route(key, s=None, c=None, order=60):
     if key in EVEN_REDUCTION:
         base = compose_route(EVEN_REDUCTION[key], s, c, order)
         return IdentityReport(f"{key} via {EVEN_REDUCTION[key]}: {base.name}", key,
-                              base.s, base.c, base.order, base.ok, base.first_mismatch)
+                              base.s, base.c, base.order, base.first_mismatch)
     base = iseries(key, order)
     s, c, h, rhs = modular_side(key, s, c, order)
     lhs = regular_shift(base, s - base.coeffs[1]).compose(inverse_hauptmodul(h).truncate(order))
     name = f"I_{{{key},s={s}}}(1/H_{{{fam.hauptmodul},c={c}}}) = eta_{{{fam.eta}}} * H^{fam.exponent}"
     bad = next((n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
     mismatch = None if bad is None else (bad, lhs.coeffs[bad], rhs.coeffs[bad])
-    return IdentityReport(name, key, s, c, order, bad is None, mismatch)
+    return IdentityReport(name, key, s, c, order, mismatch)
 
 
 def m_series(key, s=None, c=None, order=60):
